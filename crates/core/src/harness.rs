@@ -419,8 +419,15 @@ impl RunResult {
 /// Runs one experiment cell to completion inside a fresh simulation.
 pub fn run_experiment(spec: &ExperimentSpec) -> RunResult {
     let sim = Sim::new();
-    let spec = spec.clone();
-    sim.run_until(async move { run_inner(spec).await })
+    // The run future must own its inputs: one copy of the dataset, which
+    // the index build consumes, and the spec without its dataset.
+    let dataset = spec.dataset.clone();
+    let plan = ExperimentSpec {
+        dataset: Vec::new(),
+        explicit_traces: spec.explicit_traces.clone(),
+        ..*spec
+    };
+    sim.run_until(async move { run_inner(plan, dataset).await })
 }
 
 fn client_config_for(scheme: Scheme, server: &ServerConfig) -> ClientConfig {
@@ -457,11 +464,11 @@ struct ClientOutcome {
     flight_dumps: Vec<FlightDump>,
 }
 
-async fn run_inner(spec: ExperimentSpec) -> RunResult {
+async fn run_inner(spec: ExperimentSpec, dataset: Vec<(Rect, u64)>) -> RunResult {
     // Replication rides on the cluster topology even at one shard: a
     // 1-shard k-way replica set is a legal (and useful) configuration.
     if spec.shards > 1 || spec.replicas > 1 {
-        return run_cluster_inner(spec).await;
+        return run_cluster_inner(spec, dataset).await;
     }
     let net = Network::new();
     let rkeys = RkeyAllocator::new();
@@ -477,7 +484,7 @@ async fn run_inner(spec: ExperimentSpec) -> RunResult {
         &spec.profile,
         server_cfg,
         spec.tree_config,
-        spec.dataset.clone(),
+        dataset,
         &rkeys,
     );
     // One shared fault plan for the whole cluster: every endpoint draws
@@ -703,7 +710,7 @@ async fn run_inner(spec: ExperimentSpec) -> RunResult {
 /// path — same staggering, same per-client seeds, same trace/event
 /// plumbing — with per-shard resource accounting: server CPU is the mean
 /// across shards (each shard is a full machine) and NIC bandwidth the sum.
-async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
+async fn run_cluster_inner(spec: ExperimentSpec, dataset: Vec<(Rect, u64)>) -> RunResult {
     assert!(
         spec.scheme != Scheme::TcpIp,
         "the TCP baseline is single-server only; use shards = 1"
@@ -721,7 +728,7 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
             &spec.profile,
             server_cfg,
             spec.tree_config,
-            spec.dataset.clone(),
+            dataset,
             spec.shards,
             spec.replicas,
             &rkeys,
@@ -732,7 +739,7 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
             &spec.profile,
             server_cfg,
             spec.tree_config,
-            spec.dataset.clone(),
+            dataset,
             spec.shards,
             &rkeys,
         )
@@ -1143,6 +1150,33 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.completed_requests, b.completed_requests);
+    }
+
+    /// Two runs of one spec agree on every outcome, bucket for bucket, on
+    /// one shard and on four, and leave the caller's dataset untouched
+    /// (the run owns its own copy, which the index build consumes).
+    #[test]
+    fn repeated_runs_are_identical_and_keep_the_dataset() {
+        for shards in [1, 4] {
+            let mut spec = small_spec(Scheme::Catfish);
+            spec.shards = shards;
+            spec.trace = TraceSpec::hybrid(ScaleDist::Fixed { bound: 0.02 }, 30);
+            spec.collect_phase_spans = true;
+            let dataset = spec.dataset.clone();
+            let a = run_experiment(&spec);
+            let b = run_experiment(&spec);
+            assert_eq!(spec.dataset, dataset, "{shards} shards");
+            assert!(a.insert_latency.count > 0, "inserts must reach the index");
+            assert_eq!(a.makespan, b.makespan, "{shards} shards");
+            assert_eq!(a.stats, b.stats, "{shards} shards");
+            assert_eq!(a.per_shard_stats, b.per_shard_stats, "{shards} shards");
+            assert!(a.hist == b.hist, "{shards} shards: histograms differ");
+            assert!(
+                a.phase_hists == b.phase_hists,
+                "{shards} shards: phase histograms differ"
+            );
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{shards} shards");
+        }
     }
 
     #[test]

@@ -851,31 +851,44 @@ impl RingReceiver {
         if s.pending_delivered.get() <= 0 {
             return false;
         }
-        let cap = s.capacity as usize;
-        let mut buf = vec![0u8; cap];
-        s.ring.read_local(0, &mut buf);
         let head = s.head.get();
         let pos = (head % s.capacity) as usize;
+        // Scan the ring in place; `skip_hole` consumes (and may write
+        // back), so it runs only after the borrow ends.
+        let hole = s
+            .ring
+            .with_slice(0, s.capacity as usize, |buf| Self::hole_end(buf, pos));
+        match hole {
+            Some(off) => self.skip_hole(head, (off - pos) as u64),
+            None => {
+                // No recoverable frame beyond the head: nothing was
+                // stranded after all (duplicate completions inflate the
+                // account).
+                s.pending_delivered.set(0);
+                false
+            }
+        }
+    }
+
+    /// Where the hole starting at ring offset `pos` ends: the next CRC-valid
+    /// frame, or a wrap marker whose offset 0 holds a frame (or is still
+    /// empty — another hole, which the next resync handles from there).
+    fn hole_end(buf: &[u8], pos: usize) -> Option<usize> {
+        let word_at =
+            |off: usize| u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]);
         let mut off = pos + 4;
-        while off + 4 <= cap {
-            let word = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]);
+        while off + 4 <= buf.len() {
+            let word = word_at(off);
             if word == WRAP_MARKER {
-                // The hole ends at the wrap: accept if offset 0 holds the
-                // next frame (or is still empty — another hole, which the
-                // next resync handles from there).
-                let first = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-                if Self::frame_valid_at(&buf, 0) || first == 0 {
-                    return self.skip_hole(head, (off - pos) as u64);
+                if Self::frame_valid_at(buf, 0) || word_at(0) == 0 {
+                    return Some(off);
                 }
-            } else if word != 0 && Self::frame_valid_at(&buf, off) {
-                return self.skip_hole(head, (off - pos) as u64);
+            } else if word != 0 && Self::frame_valid_at(buf, off) {
+                return Some(off);
             }
             off += 4;
         }
-        // No recoverable frame beyond the head: nothing was stranded
-        // after all (duplicate completions inflate the account).
-        s.pending_delivered.set(0);
-        false
+        None
     }
 
     /// Advances the head past `bytes` of lost (zeroed) ring without

@@ -16,6 +16,15 @@
 //! the first portion of the write as new and the remainder as old, at
 //! cache-line granularity — which is exactly the mixed-version state the
 //! codec's validation rejects.
+//!
+//! ## Demand-zero backing
+//!
+//! Rings, mailboxes and arenas are registered at their worst-case size, and
+//! most of that capacity is never written. On Linux (x86-64 and AArch64),
+//! regions of 64 KiB and up are backed by an anonymous mapping that the
+//! kernel fills with zeros one page at a time on first write, so untouched
+//! capacity costs no resident memory. Smaller regions, and every region on
+//! other targets, are zeroed heap buffers.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -34,29 +43,38 @@ struct TornWrite {
     completes: SimTime,
 }
 
-/// One cache line of registered memory. The `repr(align)` guarantees the
-/// whole buffer starts on a cache-line boundary, so chunk slots (whole
-/// multiples of 64 bytes) never straddle an extra line — matching how a
-/// real registration would pin page-aligned memory for the NIC.
+/// One cache line of registered memory. The `repr(align)` guarantees a
+/// heap-backed buffer starts on a cache-line boundary, so chunk slots
+/// (whole multiples of 64 bytes) never straddle an extra line — matching
+/// how a real registration would pin page-aligned memory for the NIC.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 struct Line([u8; TORN_LINE]);
 
-/// A byte buffer whose base address is cache-line-aligned.
-struct AlignedBuf {
-    lines: Vec<Line>,
-    len: usize,
+/// Regions at least this large come from a demand-zero mapping; smaller
+/// ones (8-byte head and ack cells, tiny test arenas) stay on the heap,
+/// where a page-granular mapping would waste more than it saves.
+const MAP_THRESHOLD: usize = 64 * 1024;
+
+/// A zero-initialised byte buffer whose base address is cache-line-aligned.
+enum AlignedBuf {
+    Heap { lines: Vec<Line>, len: usize },
+    Mapped(demand_zero::Mapping),
 }
 
 impl AlignedBuf {
-    fn from_bytes(bytes: &[u8]) -> Self {
-        let mut lines = vec![Line([0u8; TORN_LINE]); bytes.len().div_ceil(TORN_LINE)];
-        for (i, chunk) in bytes.chunks(TORN_LINE).enumerate() {
-            lines[i].0[..chunk.len()].copy_from_slice(chunk);
-        }
-        let buf = AlignedBuf {
-            lines,
-            len: bytes.len(),
+    fn zeroed(len: usize) -> Self {
+        let mapped = if len >= MAP_THRESHOLD {
+            demand_zero::Mapping::new(len)
+        } else {
+            None
+        };
+        let buf = match mapped {
+            Some(m) => AlignedBuf::Mapped(m),
+            None => AlignedBuf::Heap {
+                lines: vec![Line([0u8; TORN_LINE]); len.div_ceil(TORN_LINE)],
+                len,
+            },
         };
         debug_assert_eq!(
             buf.as_slice().as_ptr() as usize % TORN_LINE,
@@ -66,24 +84,173 @@ impl AlignedBuf {
         buf
     }
 
+    fn from_bytes(bytes: &[u8]) -> Self {
+        let mut buf = Self::zeroed(bytes.len());
+        buf.as_mut_slice().copy_from_slice(bytes);
+        buf
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            AlignedBuf::Heap { len, .. } => *len,
+            AlignedBuf::Mapped(m) => m.len(),
+        }
+    }
+
     fn as_slice(&self) -> &[u8] {
-        // SAFETY: `Line` is a transparent 64-byte array with no padding, so
-        // the line storage is `lines.len() * 64` contiguous initialized
-        // bytes; `len` never exceeds that.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<u8>(), self.len) }
+        match self {
+            // SAFETY: `Line` is a transparent 64-byte array with no
+            // padding, so the line storage is `lines.len() * 64` contiguous
+            // initialized bytes; `len` never exceeds that.
+            AlignedBuf::Heap { lines, len } => unsafe {
+                std::slice::from_raw_parts(lines.as_ptr().cast::<u8>(), *len)
+            },
+            AlignedBuf::Mapped(m) => m.as_slice(),
+        }
     }
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: as in `as_slice`, plus exclusive access via `&mut self`.
-        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast::<u8>(), self.len) }
+        match self {
+            // SAFETY: as in `as_slice`, plus exclusive access via `&mut self`.
+            AlignedBuf::Heap { lines, len } => unsafe {
+                std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast::<u8>(), *len)
+            },
+            AlignedBuf::Mapped(m) => m.as_mut_slice(),
+        }
     }
 }
 
 impl std::fmt::Debug for AlignedBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AlignedBuf")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .finish()
+    }
+}
+
+/// Demand-zero anonymous mappings for large regions.
+///
+/// The kernel backs a private anonymous mapping with the shared zero page
+/// until a page is first written, so only touched pages become resident.
+/// A zeroed heap buffer would not do: the allocator clears recycled memory
+/// by writing it, committing every page up front. The mapping is
+/// page-aligned (which implies the 64-byte cache-line alignment) and
+/// unmapped on drop.
+///
+/// Declared here instead of through a bindings crate; the constants are
+/// the Linux values shared by x86-64 and AArch64. Every other target gets
+/// the stub below and falls back to the zeroed heap buffer.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod demand_zero {
+    use std::ffi::{c_int, c_long, c_void};
+    use std::ptr::NonNull;
+
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const PAGE: usize = 4096;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// An owned read-write anonymous mapping of `len` (> 0) bytes.
+    pub(super) struct Mapping {
+        ptr: NonNull<u8>,
+        len: usize,
+    }
+
+    impl Mapping {
+        pub(super) fn new(len: usize) -> Option<Self> {
+            assert!(len > 0, "an empty region needs no mapping");
+            // SAFETY: a fresh private anonymous mapping at a kernel-chosen
+            // address aliases no existing memory; the arguments are valid
+            // for `mmap(2)` and failure is checked below.
+            let addr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            // MAP_FAILED is `(void *)-1`.
+            if addr as usize == usize::MAX {
+                let layout = std::alloc::Layout::from_size_align(len, PAGE)
+                    .expect("region length overflows a layout");
+                std::alloc::handle_alloc_error(layout);
+            }
+            Some(Mapping {
+                ptr: NonNull::new(addr.cast::<u8>()).expect("mmap never maps page zero"),
+                len,
+            })
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.len
+        }
+
+        pub(super) fn as_slice(&self) -> &[u8] {
+            // SAFETY: the mapping is `len` readable bytes, zero-filled by
+            // the kernel until written, alive until `self` drops.
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+
+        pub(super) fn as_mut_slice(&mut self) -> &mut [u8] {
+            // SAFETY: as in `as_slice`, plus exclusive access via `&mut self`.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are exactly the range `mmap` returned,
+            // and no borrow of it outlives `self`.
+            let rc = unsafe { munmap(self.ptr.as_ptr().cast::<c_void>(), self.len) };
+            debug_assert_eq!(rc, 0, "munmap of an owned mapping failed");
+        }
+    }
+}
+
+/// Targets without the mapping: [`Mapping::new`] declines, so every region
+/// is a zeroed heap buffer.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod demand_zero {
+    pub(super) enum Mapping {}
+
+    impl Mapping {
+        pub(super) fn new(_len: usize) -> Option<Self> {
+            None
+        }
+
+        pub(super) fn len(&self) -> usize {
+            match *self {}
+        }
+
+        pub(super) fn as_slice(&self) -> &[u8] {
+            match *self {}
+        }
+
+        pub(super) fn as_mut_slice(&mut self) -> &mut [u8] {
+            match *self {}
+        }
     }
 }
 
@@ -114,15 +281,21 @@ pub struct MemoryRegion {
 
 impl MemoryRegion {
     /// Registers a zeroed region of `len` bytes with remote key `rkey`.
+    /// On Linux, regions of 64 KiB and up commit memory only for the pages
+    /// that are written (see the module docs).
     pub fn new(len: usize, rkey: u32) -> Self {
-        Self::from_bytes(vec![0; len], rkey)
+        Self::with_buf(AlignedBuf::zeroed(len), rkey)
     }
 
     /// Registers existing memory (copied into cache-line-aligned backing).
     pub fn from_bytes(bytes: Vec<u8>, rkey: u32) -> Self {
+        Self::with_buf(AlignedBuf::from_bytes(&bytes), rkey)
+    }
+
+    fn with_buf(bytes: AlignedBuf, rkey: u32) -> Self {
         MemoryRegion {
             inner: Rc::new(RefCell::new(MrInner {
-                bytes: AlignedBuf::from_bytes(&bytes),
+                bytes,
                 rkey,
                 torn: VecDeque::new(),
             })),
@@ -136,7 +309,7 @@ impl MemoryRegion {
 
     /// Region length in bytes.
     pub fn len(&self) -> usize {
-        self.inner.borrow().bytes.len
+        self.inner.borrow().bytes.len()
     }
 
     /// Alignment of the region's base address in bytes (at least the

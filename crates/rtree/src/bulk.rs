@@ -49,10 +49,25 @@ pub fn bulk_load<S: NodeStore>(store: S, config: RTreeConfig, items: Vec<(Rect, 
 /// `[2 * min_entries, max_entries]` (the lower bound guarantees that group
 /// balancing can always satisfy the minimum fanout).
 pub fn bulk_load_with_fill<S: NodeStore>(
+    store: S,
+    config: RTreeConfig,
+    items: Vec<(Rect, u64)>,
+    fill: usize,
+) -> RTree<S> {
+    bulk_load_packed(store, config, items, fill, str_pack)
+}
+
+/// Groups one level's entries into nodes: `(entries, fill, min_entries)`.
+type Packer = fn(Vec<Entry>, usize, usize) -> Vec<Vec<Entry>>;
+
+/// [`bulk_load_with_fill`] with the level packer as a parameter, so tests
+/// can build through the reference packer too.
+fn bulk_load_packed<S: NodeStore>(
     mut store: S,
     config: RTreeConfig,
     items: Vec<(Rect, u64)>,
     fill: usize,
+    pack: Packer,
 ) -> RTree<S> {
     config.validate();
     assert!(
@@ -75,7 +90,7 @@ pub fn bulk_load_with_fill<S: NodeStore>(
     let mut level = 0u32;
     let mut current = entries;
     loop {
-        let nodes = str_pack(current, fill, config.min_entries);
+        let nodes = pack(current, fill, config.min_entries);
         let mut next: Vec<Entry> = Vec::with_capacity(nodes.len());
         let single = nodes.len() == 1;
         for group in nodes {
@@ -195,6 +210,10 @@ pub fn partition_by_x(items: Vec<(Rect, u64)>, shards: usize) -> SpacePartition 
 /// Partitions entries into groups of about `fill` using Sort-Tile-Recursive
 /// tiling; every group has at least `min_entries` entries (except when the
 /// whole input is smaller than that, which can only happen for the root).
+///
+/// Slices and groups are cut by index from the one x-sorted buffer, so
+/// packing n entries moves each entry once instead of shifting the
+/// unconsumed tail on every cut.
 fn str_pack(mut entries: Vec<Entry>, fill: usize, min_entries: usize) -> Vec<Vec<Entry>> {
     let n = entries.len();
     if n <= fill {
@@ -206,20 +225,20 @@ fn str_pack(mut entries: Vec<Entry>, fill: usize, min_entries: usize) -> Vec<Vec
 
     sort_by_center(&mut entries, 0);
     let mut groups = Vec::with_capacity(pages);
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let take = per_slice.min(rest.len());
-        let mut slice: Vec<Entry> = rest.drain(..take).collect();
-        sort_by_center(&mut slice, 1);
-        while !slice.is_empty() {
-            let mut take = fill.min(slice.len());
-            let remainder = slice.len() - take;
+    for slice in entries.chunks_mut(per_slice) {
+        sort_by_center(slice, 1);
+        let mut rest: &[Entry] = slice;
+        while !rest.is_empty() {
+            let mut take = fill.min(rest.len());
+            let remainder = rest.len() - take;
             if remainder > 0 && remainder < min_entries {
                 // Shrink this group so the slice's final group still
                 // satisfies the minimum fanout.
-                take = slice.len() - min_entries;
+                take = rest.len() - min_entries;
             }
-            groups.push(slice.drain(..take).collect::<Vec<_>>());
+            let (group, tail) = rest.split_at(take);
+            groups.push(group.to_vec());
+            rest = tail;
         }
     }
     balance_tail(&mut groups, fill, min_entries);
@@ -268,6 +287,40 @@ fn center_axis(r: &Rect, axis: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::store::MemStore;
+
+    /// The original packer, which cuts each slice and group off the front
+    /// of its buffer with `drain` (O(n·√n) moves): the reference
+    /// [`str_pack`] must reproduce group for group.
+    fn str_pack_drain(mut entries: Vec<Entry>, fill: usize, min_entries: usize) -> Vec<Vec<Entry>> {
+        let n = entries.len();
+        if n <= fill {
+            return vec![entries];
+        }
+        let pages = n.div_ceil(fill);
+        let slices = (pages as f64).sqrt().ceil() as usize;
+        let per_slice = n.div_ceil(slices);
+
+        sort_by_center(&mut entries, 0);
+        let mut groups = Vec::with_capacity(pages);
+        let mut rest = entries;
+        while !rest.is_empty() {
+            let take = per_slice.min(rest.len());
+            let mut slice: Vec<Entry> = rest.drain(..take).collect();
+            sort_by_center(&mut slice, 1);
+            while !slice.is_empty() {
+                let mut take = fill.min(slice.len());
+                let remainder = slice.len() - take;
+                if remainder > 0 && remainder < min_entries {
+                    // Shrink this group so the slice's final group still
+                    // satisfies the minimum fanout.
+                    take = slice.len() - min_entries;
+                }
+                groups.push(slice.drain(..take).collect::<Vec<_>>());
+            }
+        }
+        balance_tail(&mut groups, fill, min_entries);
+        groups
+    }
 
     fn items(n: u64) -> Vec<(Rect, u64)> {
         (0..n)
@@ -400,5 +453,101 @@ mod tests {
         let part = partition_by_x(data.clone(), 1);
         assert!(part.cuts.is_empty());
         assert_eq!(part.slabs[0], data);
+    }
+
+    /// Deterministic entries with unique payloads. `ties` 0 draws free
+    /// centers; 1 snaps corners to an 8-value dyadic grid, so many centers
+    /// tie exactly on each axis; 2 gives every entry the same center.
+    fn packing_input(n: usize, seed: u64, ties: u8) -> Vec<Entry> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..n)
+            .map(|i| {
+                let rect = match ties {
+                    0 => {
+                        let x = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                        let y = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                        Rect::new(x, y, x + 0.001, y + 0.001)
+                    }
+                    1 => {
+                        let x = (next() % 8) as f64 / 8.0;
+                        let y = (next() % 8) as f64 / 8.0;
+                        Rect::new(x, y, x + 0.125, y + 0.125)
+                    }
+                    _ => {
+                        let w = (next() % 16) as f64 / 64.0;
+                        Rect::new(0.5 - w, 0.5 - w, 0.5 + w, 0.5 + w)
+                    }
+                };
+                Entry::data(rect, i as u64)
+            })
+            .collect()
+    }
+
+    /// Every `(min_entries, fill)` pair a valid config with one of these
+    /// fanouts accepts.
+    fn legal_fills() -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for max in [4usize, 5, 8, 16] {
+            for min in 2..=max / 2 {
+                for fill in 2 * min..=max {
+                    pairs.push((min, fill));
+                }
+            }
+        }
+        pairs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Index slicing cuts exactly the groups the drain-based packer
+        /// cut: same entries, same order, for every legal fill.
+        #[test]
+        fn str_pack_matches_drain_oracle(
+            n in 0usize..5000,
+            seed in proptest::prelude::any::<u64>(),
+            ties in 0u8..3,
+        ) {
+            let entries = packing_input(n, seed, ties);
+            for (min, fill) in legal_fills() {
+                let got = str_pack(entries.clone(), fill, min);
+                let want = str_pack_drain(entries.clone(), fill, min);
+                proptest::prop_assert!(
+                    got == want,
+                    "n {} ties {} min {} fill {}: groups differ",
+                    n,
+                    ties,
+                    min,
+                    fill
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_store_bulk_load_matches_oracle_bytes() {
+        use crate::chunk::ChunkStore;
+        use crate::codec::ChunkLayout;
+
+        let config = RTreeConfig::default();
+        let layout = ChunkLayout::for_max_entries(config.max_entries);
+        let data = items(50_000);
+        let fill = (config.max_entries * 4 / 5).max(config.min_entries * 2);
+        let arena = || {
+            let chunks = data.len().div_ceil(config.min_entries) * 2;
+            ChunkStore::new(vec![0u8; layout.arena_bytes(chunks as u32)], layout)
+        };
+        let new = bulk_load(arena(), config, data.clone());
+        let old = bulk_load_packed(arena(), config, data.clone(), fill, str_pack_drain);
+        assert_eq!(new.len(), 50_000);
+        let (new, old) = (new.into_store().into_mem(), old.into_store().into_mem());
+        assert!(new == old, "arena bytes differ");
     }
 }
