@@ -234,7 +234,7 @@ impl ClusterClient<RtreeBackend> {
     /// over the intersecting shards and concatenated — shards own disjoint
     /// item sets, so the union needs no dedup.
     pub async fn search(&self, rect: &Rect) -> Vec<u64> {
-        let targets = self.map.read_targets(rect);
+        let targets = self.map.borrow().read_targets(rect);
         match targets.len() {
             0 => Vec::new(),
             1 => self.read_conn(targets[0]).borrow_mut().search(rect).await,
@@ -255,10 +255,11 @@ impl ClusterClient<RtreeBackend> {
     }
 
     /// Inserts an item on its home shard, widening that shard's boundary
-    /// MBR first so a scatter issued after this call can already see it.
+    /// MBR in the cluster's shared map first, so a scatter any client
+    /// sends after this call can already see it.
     pub async fn insert(&mut self, rect: Rect, data: u64) -> bool {
-        let home = self.map.home_shard(&rect);
-        self.map.grow(home, &rect);
+        let home = self.map.borrow().home_shard(&rect);
+        self.map.borrow_mut().grow(home, &rect);
         self.replicated_write(home, OpKind::Write, |seq| Message::InsertReq {
             seq,
             rect,
@@ -272,7 +273,7 @@ impl ClusterClient<RtreeBackend> {
     /// shard's bound is left as-is (bounds only grow — a stale-wide bound
     /// merely costs an extra scatter target, never correctness).
     pub async fn delete(&mut self, rect: Rect, data: u64) -> bool {
-        let home = self.map.home_shard(&rect);
+        let home = self.map.borrow().home_shard(&rect);
         self.replicated_write(home, OpKind::Remove, |seq| Message::DeleteReq {
             seq,
             rect,
@@ -287,7 +288,7 @@ impl ClusterClient<RtreeBackend> {
     /// sufficient — any global winner is also among its own shard's k
     /// nearest — so the merge is exact without a second round.
     pub async fn nearest(&self, x: f64, y: f64, k: u32) -> Vec<(Rect, u64)> {
-        let targets = self.map.occupied();
+        let targets = self.map.borrow().occupied();
         if targets.is_empty() {
             return Vec::new();
         }

@@ -509,14 +509,14 @@ impl ShardPartition for KvBackend {
 impl ClusterClient<KvBackend> {
     /// Looks up `key` on its ring shard.
     pub async fn get(&mut self, key: u64) -> Option<u64> {
-        let s = self.map.key_shard(key);
+        let s = self.map.borrow().key_shard(key);
         self.read_conn(s).borrow_mut().get(key).await
     }
 
     /// Inserts or replaces a pair on its ring shard; returns the previous
     /// value if any.
     pub async fn put(&mut self, key: u64, value: u64) -> Option<u64> {
-        let s = self.map.key_shard(key);
+        let s = self.map.borrow().key_shard(key);
         self.replicated_write(s, OpKind::Write, |seq| KvMessage::PutReq {
             seq,
             key,
@@ -530,7 +530,7 @@ impl ClusterClient<KvBackend> {
 
     /// Removes a key from its ring shard; returns its value if present.
     pub async fn remove(&mut self, key: u64) -> Option<u64> {
-        let s = self.map.key_shard(key);
+        let s = self.map.borrow().key_shard(key);
         self.replicated_write(s, OpKind::Remove, |seq| KvMessage::RemoveReq { seq, key })
             .await
             .1

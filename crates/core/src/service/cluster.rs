@@ -58,10 +58,12 @@ const RING_POINTS_PER_SHARD: usize = 16;
 /// The client-side routing table of a cluster.
 ///
 /// Built once by [`ShardPartition::partition`] at bulk-load time and
-/// copied into every [`ClusterClient`]; the only mutable piece is the
-/// per-shard boundary MBR, which [`ShardMap::grow`] widens when an insert
-/// routed to a shard pokes past its current bound (so scatter pruning
-/// never misses an item the cluster accepted).
+/// shared by the [`ClusterServer`] and every [`ClusterClient`] (one map
+/// per cluster — the simulation stand-in for a replicated routing
+/// service, like [`ReplicaCtl`] for membership). The only mutable piece
+/// is the per-shard boundary MBR, which [`ShardMap::grow`] widens when an
+/// insert routed to a shard pokes past its current bound, so no client's
+/// scatter pruning misses an item the cluster accepted.
 #[derive(Debug, Clone)]
 pub enum ShardMap {
     /// Space partition (R-tree): contiguous x-slabs.
@@ -403,14 +405,14 @@ async fn forward_pump<B: ClientBackend>(
 }
 
 /// A cluster of [`ServiceServer`] shards, each on its own fabric node —
-/// own cores, own NIC, own registered arena, own heartbeat stream. With
-/// [`ClusterServer::build_replicated`] each shard is a k-way replica set
-/// instead of a single server.
+/// own cores, own NIC, own registered arena, own heartbeat stream — and
+/// each a k-way replica set ([`ClusterServer::build_replicated`]; k = 1
+/// is a single server).
 pub struct ClusterServer<B: IndexBackend> {
     /// `sets[shard][replica]`; unreplicated clusters hold one-member sets.
     sets: Vec<Vec<ServiceServer<B>>>,
     ctls: Vec<ReplicaCtl>,
-    map: ShardMap,
+    map: Rc<RefCell<ShardMap>>,
     /// Span-log installers for the forwarding pump clients, type-erased so
     /// the struct carries no `ClientBackend` bound: `(shard, replica, f)`.
     #[allow(clippy::type_complexity)]
@@ -430,65 +432,23 @@ impl<B: IndexBackend> std::fmt::Debug for ClusterServer<B> {
     }
 }
 
-impl<B: IndexBackend + ShardPartition> ClusterServer<B> {
-    /// Builds `shards` servers, partitioning `items` with the backend's
-    /// [`ShardPartition`]. Every shard gets the same `cfg` — each shard is
-    /// a full machine, so scaling shards scales cores and NICs with them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn build(
-        net: &Network,
-        profile: &NetProfile,
-        cfg: ServerConfig,
-        index_cfg: B::Config,
-        items: Vec<B::LoadItem>,
-        shards: usize,
-        rkeys: &RkeyAllocator,
-    ) -> ClusterServer<B> {
-        assert!(shards > 0, "a cluster needs at least one shard");
-        let (parts, map) = B::partition(items, shards);
-        let sets: Vec<Vec<ServiceServer<B>>> = parts
-            .into_iter()
-            .map(|part| {
-                vec![ServiceServer::build(
-                    net,
-                    profile,
-                    cfg,
-                    index_cfg.clone(),
-                    part,
-                    rkeys,
-                )]
-            })
-            .collect();
-        let ctls = (0..sets.len()).map(|_| ReplicaCtl::new(1)).collect();
-        ClusterServer {
-            sets,
-            ctls,
-            map,
-            span_hooks: RefCell::new(Vec::new()),
-            span: RefCell::new(SpanLog::default()),
-            repair_flight: FlightRecorder::new(),
-        }
-    }
-}
-
 impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B>
 where
     B::LoadItem: Clone,
 {
-    /// Builds a **replicated** cluster: `shards` replica sets of
-    /// `replicas` servers each, every member bulk-loaded with its shard's
-    /// partition. Replica 0 of each set starts as primary; the whole set
-    /// shares one [`ReplicaCtl`]. Between every ordered pair of members a
-    /// forwarding pump (a dedicated ring connection plus a queue-draining
-    /// task) is strung, and every member gets the fan-out hook — so
-    /// whichever member is promoted later already has its forwarding
-    /// plumbing in place.
+    /// Builds `shards` replica sets of `replicas` servers each,
+    /// partitioning `items` with the backend's [`ShardPartition`] and
+    /// bulk-loading every member with its shard's partition. Every server
+    /// gets the same `cfg` — each is a full machine, so scaling shards
+    /// scales cores and NICs with them.
     ///
-    /// With `replicas == 1` this is exactly [`ClusterServer::build`]: no
-    /// pumps, no envelopes, byte-identical wire traffic.
+    /// Replica 0 of each set starts as primary; the whole set shares one
+    /// [`ReplicaCtl`]. With `replicas > 1`, between every ordered pair of
+    /// members a forwarding pump (a dedicated ring connection plus a
+    /// queue-draining task) is strung, and every member gets the fan-out
+    /// hook — so whichever member is promoted later already has its
+    /// forwarding plumbing in place. With `replicas == 1` there are no
+    /// pumps and no envelopes.
     ///
     /// # Panics
     ///
@@ -512,11 +472,21 @@ where
         #[allow(clippy::type_complexity)]
         let mut span_hooks: Vec<(usize, usize, Box<dyn Fn(SpanLog)>)> = Vec::new();
         for (i, part) in parts.into_iter().enumerate() {
-            let set: Vec<ServiceServer<B>> = (0..replicas)
+            // Backups load copies; the last member takes the partition
+            // itself, so an unreplicated shard copies nothing.
+            let mut set: Vec<ServiceServer<B>> = (1..replicas)
                 .map(|_| {
                     ServiceServer::build(net, profile, cfg, index_cfg.clone(), part.clone(), rkeys)
                 })
                 .collect();
+            set.push(ServiceServer::build(
+                net,
+                profile,
+                cfg,
+                index_cfg.clone(),
+                part,
+                rkeys,
+            ));
             let ctl = ReplicaCtl::new(replicas);
             if replicas > 1 {
                 for (r, s) in set.iter().enumerate() {
@@ -593,7 +563,7 @@ where
         ClusterServer {
             sets,
             ctls,
-            map,
+            map: Rc::new(RefCell::new(map)),
             span_hooks: RefCell::new(span_hooks),
             span: RefCell::new(SpanLog::default()),
             repair_flight: FlightRecorder::new(),
@@ -628,9 +598,9 @@ impl<B: IndexBackend> ClusterServer<B> {
         &self.ctls[i]
     }
 
-    /// The routing map clients copy at connect time.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
+    /// A snapshot of the routing map every client of this cluster shares.
+    pub fn shard_map(&self) -> ShardMap {
+        self.map.borrow().clone()
     }
 
     /// Starts every replica's heartbeat publisher.
@@ -840,7 +810,10 @@ pub struct ClusterClient<B: ClientBackend> {
     /// server side and every other client — the simulation stand-in for a
     /// consensus-backed membership view).
     pub(crate) ctls: Vec<ReplicaCtl>,
-    pub(crate) map: ShardMap,
+    /// The cluster's one routing map, shared with the server side and
+    /// every other client: a bound grown by one client's insert is seen by
+    /// every client's next scatter.
+    pub(crate) map: Rc<RefCell<ShardMap>>,
     /// This client's replication identity: `(origin, op_id)` pairs name
     /// mutations for the servers' applied table (exactly-once dedup across
     /// retries and failovers).
@@ -864,7 +837,8 @@ impl<B: ClientBackend> ClusterClient<B> {
     /// Connects one client machine to every shard: a fresh fabric node
     /// carrying `shards` ring connections (Storm-style: many logical
     /// endpoints over one NIC). Per-shard back-off seeds are decorrelated
-    /// from `seed` so shards don't draw identical bands.
+    /// from `seed` so shards don't draw identical bands; a client of a
+    /// 1 shard × 1 replica cluster uses `seed` itself.
     pub fn connect(
         server: &ClusterServer<B>,
         net: &Network,
@@ -886,16 +860,21 @@ impl<B: ClientBackend> ClusterClient<B> {
     ) -> ClusterClient<B> {
         let mut shards = Vec::with_capacity(server.sets.len());
         let mut replicas = Vec::with_capacity(server.sets.len());
+        // A lone connection has no sibling to decorrelate from: it keeps
+        // the caller's seed, so a 1 × 1 cluster client draws exactly what
+        // a plain `ServiceClient` with that seed would. Otherwise every
+        // connection gets its own stream; replica 0 keeps the formula that
+        // predates replication, so unreplicated multi-shard runs stay put.
+        let lone = server.sets.len() == 1 && server.replicas() == 1;
         for (i, set) in server.sets.iter().enumerate() {
             let conns: Vec<Rc<RefCell<ServiceClient<B>>>> = set
                 .iter()
                 .enumerate()
                 .map(|(r, s)| {
                     let ch = s.accept(client_ep);
-                    // Replica 0's seed is the pre-replication formula, so
-                    // unreplicated runs stay byte-identical; backups get
-                    // their own decorrelated streams.
-                    let shard_seed = if r == 0 {
+                    let shard_seed = if lone {
+                        seed
+                    } else if r == 0 {
                         seed ^ mix64(i as u64 + 1)
                     } else {
                         seed ^ mix64(((r as u64) << 32) | (i as u64 + 1))
@@ -915,7 +894,7 @@ impl<B: ClientBackend> ClusterClient<B> {
             shards,
             replicas,
             ctls: server.ctls.clone(),
-            map: server.map.clone(),
+            map: Rc::clone(&server.map),
             origin: mix64(seed ^ 0xC1A5),
             next_op: Cell::new(1),
             span: SpanLog::default(),
@@ -1024,11 +1003,6 @@ impl<B: ClientBackend> ClusterClient<B> {
     /// The shared handle to one shard's client (tests and the harness).
     pub fn shard_client(&self, i: usize) -> Rc<RefCell<ServiceClient<B>>> {
         Rc::clone(&self.shards[i])
-    }
-
-    /// This client's routing map (bounds reflect its own inserts).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
     }
 
     /// Wires every per-shard Algorithm 1 into `log`, stamped with its
@@ -1464,57 +1438,133 @@ mod tests {
             });
         }
 
+        /// Adaptive routing with live heartbeats that always read busy, so
+        /// the client seed's back-off draws pick each read's route.
+        fn adaptive(cfg: &ServerConfig) -> ClientConfig {
+            ClientConfig {
+                mode: AccessMode::Adaptive(crate::config::AdaptiveParams {
+                    heartbeat_interval: cfg.heartbeat_interval,
+                    busy_threshold: -1.0,
+                    ..crate::config::AdaptiveParams::default()
+                }),
+                ..ClientConfig::default()
+            }
+        }
+
+        /// A 1 shard × 1 replica cluster client keeps the caller's seed, so
+        /// it draws, routes and times exactly like a plain `ServiceClient`
+        /// on the same seed — the rule that keeps the paper's single-server
+        /// topology byte-identical when it runs as a 1-shard cluster.
         #[test]
-        fn unreplicated_traffic_is_byte_identical_to_pre_replication_build() {
-            // `build` and `build_replicated(.., 1, ..)` must produce
-            // indistinguishable clusters: same seeds, same node ids, same
-            // wire bytes — the guarantee that replication is pay-as-you-go.
-            let run = |replicated: bool| {
-                let sim = Sim::new();
-                sim.run_until(async move {
+        fn lone_cluster_client_draws_like_a_plain_client() {
+            use crate::client::{CatfishClient, CatfishClusterClient};
+            use crate::kv::KvClient;
+            use crate::server::CatfishCluster;
+            use catfish_rtree::RTreeConfig;
+            use catfish_simnet::{now, SimDuration};
+
+            // The same script through either client type.
+            macro_rules! kv_script {
+                ($c:expr) => {{
+                    let mut out = Vec::new();
+                    for i in 0..50u64 {
+                        let t0 = now();
+                        let put = $c.put(9_000_000 + i * 3, i).await;
+                        let got = $c.get(9_000_000 + i * 3).await;
+                        out.push((put, got, now() - t0));
+                    }
+                    (out, $c.stats(), now())
+                }};
+            }
+            macro_rules! rtree_script {
+                ($c:expr) => {{
+                    let mut out = Vec::new();
+                    for i in 0..60u64 {
+                        let t0 = now();
+                        let x = (i % 10) as f64 / 10.0;
+                        let rect = Rect::new(x, x, x + 0.05, x + 0.05);
+                        let ids = if i % 4 == 0 {
+                            vec![u64::from($c.insert(rect, 1_000_000 + i).await)]
+                        } else {
+                            $c.search(&rect).await
+                        };
+                        out.push((ids, now() - t0));
+                    }
+                    (out, $c.stats(), now())
+                }};
+            }
+
+            let cfg = ServerConfig {
+                cores: 2,
+                mode: ServerMode::EventDriven,
+                heartbeat_interval: SimDuration::from_micros(200),
+                ..ServerConfig::default()
+            };
+            let kv = |clustered: bool| {
+                Sim::new().run_until(async move {
                     let net = Network::new();
                     let profile = infiniband_100g();
-                    let rkeys = RkeyAllocator::new();
-                    let cfg = ServerConfig {
-                        cores: 2,
-                        mode: ServerMode::EventDriven,
-                        ..ServerConfig::default()
-                    };
-                    let cluster = if replicated {
-                        KvCluster::build_replicated(
-                            &net,
-                            &profile,
-                            cfg,
-                            BpConfig::with_max_keys(32),
-                            kv_items(500),
-                            2,
-                            1,
-                            &rkeys,
-                        )
+                    let cluster = KvCluster::build_replicated(
+                        &net,
+                        &profile,
+                        cfg,
+                        BpConfig::with_max_keys(32),
+                        kv_items(500),
+                        1,
+                        1,
+                        &RkeyAllocator::new(),
+                    );
+                    cluster.start_heartbeats();
+                    let ep =
+                        Endpoint::new(&net, net.add_node(profile.link), RdmaProfile::default());
+                    if clustered {
+                        let mut c =
+                            KvClusterClient::connect_from(&cluster, &ep, adaptive(&cfg), 42);
+                        kv_script!(c)
                     } else {
-                        KvCluster::build(
-                            &net,
-                            &profile,
-                            cfg,
-                            BpConfig::with_max_keys(32),
-                            kv_items(500),
-                            2,
-                            &rkeys,
-                        )
-                    };
-                    let mut c = connect(&net, &cluster, 42);
-                    let mut trace = Vec::new();
-                    for i in 0..50u64 {
-                        trace.push((
-                            c.put(9_000_000 + i * 3, i).await,
-                            c.get(9_000_000 + i * 3).await,
-                        ));
+                        let s = cluster.shard(0);
+                        let mut c =
+                            KvClient::new(s.accept(&ep), s.remote_handle(), adaptive(&cfg), 42);
+                        kv_script!(c)
                     }
-                    trace.push((None, c.get(1).await));
-                    (trace, cluster.stats(), c.stats(), catfish_simnet::now())
                 })
             };
-            assert_eq!(run(false), run(true));
+            assert_eq!(kv(true), kv(false), "KV");
+
+            let rtree = |clustered: bool| {
+                Sim::new().run_until(async move {
+                    let net = Network::new();
+                    let profile = infiniband_100g();
+                    let cluster = CatfishCluster::build_replicated(
+                        &net,
+                        &profile,
+                        cfg,
+                        RTreeConfig::with_max_entries(16),
+                        catfish_workload::uniform_rects(2_000, 1e-2, 7),
+                        1,
+                        1,
+                        &RkeyAllocator::new(),
+                    );
+                    cluster.start_heartbeats();
+                    let ep =
+                        Endpoint::new(&net, net.add_node(profile.link), RdmaProfile::default());
+                    if clustered {
+                        let mut c =
+                            CatfishClusterClient::connect_from(&cluster, &ep, adaptive(&cfg), 42);
+                        rtree_script!(c)
+                    } else {
+                        let s = cluster.shard(0);
+                        let mut c = CatfishClient::new(
+                            s.accept(&ep),
+                            s.remote_handle(),
+                            adaptive(&cfg),
+                            42,
+                        );
+                        rtree_script!(c)
+                    }
+                })
+            };
+            assert_eq!(rtree(true), rtree(false), "R-tree");
         }
     }
 }

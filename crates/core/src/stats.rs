@@ -224,75 +224,6 @@ impl fmt::Display for ServiceStats {
     }
 }
 
-/// Collects individual operation latencies exactly and summarizes them.
-///
-/// **Deprecated in spirit** (kept for compatibility and as the exactness
-/// oracle in tests): this recorder stores every sample in an unbounded
-/// `Vec` and sorts to summarize. Prefer
-/// [`LatencyHistogram`](crate::obs::LatencyHistogram), the fixed-footprint
-/// streaming recorder the harness and bench binaries now use — it records
-/// in O(1), merges in O(buckets), and summarizes without cloning.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: SimDuration) {
-        self.samples.push(latency.as_nanos());
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Computes the exact summary. Takes `&self`: summarizing works on a
-    /// sorted copy instead of reordering the recorder in place (the old
-    /// `&mut self` signature forced callers to make result structs
-    /// mutable just to read percentiles).
-    pub fn summary(&self) -> LatencySummary {
-        if self.samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let sum: u128 = sorted.iter().map(|&s| s as u128).sum();
-        let q = |p: f64| -> SimDuration {
-            let idx = ((n as f64 - 1.0) * p).floor() as usize;
-            SimDuration::from_nanos(sorted[idx])
-        };
-        LatencySummary {
-            count: n,
-            mean: SimDuration::from_nanos((sum / n as u128) as u64),
-            p50: q(0.50),
-            p90: q(0.90),
-            p95: q(0.95),
-            p99: q(0.99),
-            p999: q(0.999),
-            min: SimDuration::from_nanos(sorted[0]),
-            max: SimDuration::from_nanos(sorted[n - 1]),
-        }
-    }
-}
-
 /// Summary statistics over a set of latency samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
@@ -329,51 +260,6 @@ impl std::fmt::Display for LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let r = LatencyRecorder::new();
-        assert!(r.is_empty());
-        assert_eq!(r.summary(), LatencySummary::default());
-    }
-
-    #[test]
-    fn summary_of_uniform_ramp() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100u64 {
-            r.record(SimDuration::from_micros(i));
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, SimDuration::from_micros(1));
-        assert_eq!(s.max, SimDuration::from_micros(100));
-        assert_eq!(s.mean, SimDuration::from_nanos(50_500));
-        assert_eq!(s.p50, SimDuration::from_micros(50));
-        assert_eq!(s.p99, SimDuration::from_micros(99));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(SimDuration::from_micros(1));
-        b.record(SimDuration::from_micros(3));
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean, SimDuration::from_micros(2));
-    }
-
-    #[test]
-    fn summary_does_not_disturb_the_recorder() {
-        let mut r = LatencyRecorder::new();
-        r.record(SimDuration::from_micros(5));
-        let first = r.summary();
-        r.record(SimDuration::from_micros(1));
-        assert_eq!(first.min, SimDuration::from_micros(5));
-        assert_eq!(r.summary().min, SimDuration::from_micros(1));
-        assert_eq!(r.summary().max, SimDuration::from_micros(5));
-    }
 
     #[test]
     fn service_stats_merge_adds_every_counter() {

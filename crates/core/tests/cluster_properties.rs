@@ -4,6 +4,10 @@
 //! [`CatfishClusterClient`] produces results set-equal to a single
 //! authoritative reference model, for every shard count.
 //!
+//! Ops alternate between two clients of one cluster, so the law also
+//! covers visibility: an acked write is seen by every client, not only
+//! the writer.
+//!
 //! This is the correctness law that makes the space partition an
 //! implementation detail: no operation may observe which shard owns what.
 
@@ -74,44 +78,58 @@ impl Model {
     }
 }
 
+fn build(net: &Network, dataset: Vec<(Rect, u64)>, shards: usize) -> CatfishCluster {
+    CatfishCluster::build_replicated(
+        net,
+        &infiniband_100g(),
+        ServerConfig {
+            cores: 2,
+            mode: ServerMode::EventDriven,
+            ..ServerConfig::default()
+        },
+        RTreeConfig::default(),
+        dataset,
+        shards,
+        1,
+        &RkeyAllocator::new(),
+    )
+}
+
+fn connect(cluster: &CatfishCluster, net: &Network, seed: u64) -> CatfishClusterClient {
+    CatfishClusterClient::connect(
+        cluster,
+        net,
+        &infiniband_100g(),
+        ClientConfig {
+            mode: AccessMode::FastMessaging,
+            ..ClientConfig::default()
+        },
+        seed,
+    )
+}
+
 /// Runs `ops` against both a `shards`-way cluster and the model, checking
-/// set-equality after every operation.
+/// set-equality after every operation. Ops alternate between two clients
+/// of the one cluster.
 fn check_cluster_matches_model(shards: usize, dataset_seed: u64, ops: Vec<Op>) {
     let sim = Sim::new();
     sim.run_until(async move {
         let net = Network::new();
-        let profile = infiniband_100g();
-        let rkeys = RkeyAllocator::new();
         let dataset = uniform_rects(300, 1e-3, dataset_seed);
         let mut model = Model {
             live: dataset.clone(),
         };
-        let cluster = CatfishCluster::build(
-            &net,
-            &profile,
-            ServerConfig {
-                cores: 2,
-                mode: ServerMode::EventDriven,
-                ..ServerConfig::default()
-            },
-            RTreeConfig::default(),
-            dataset,
-            shards,
-            &rkeys,
-        );
-        let mut client = CatfishClusterClient::connect(
-            &cluster,
-            &net,
-            &profile,
-            ClientConfig {
-                mode: AccessMode::FastMessaging,
-                ..ClientConfig::default()
-            },
-            dataset_seed ^ 0xC1u64,
-        );
+        let cluster = build(&net, dataset, shards);
+        let mut clients = [
+            connect(&cluster, &net, dataset_seed ^ 0xC1u64),
+            connect(&cluster, &net, dataset_seed ^ 0xC2u64),
+        ];
 
         let mut next_id = 1u64 << 40;
         for (step, op) in ops.into_iter().enumerate() {
+            // Alternate clients: every op must see what the other client's
+            // acked writes left behind.
+            let client = &mut clients[step % 2];
             match op {
                 Op::Search(q) => {
                     let mut got = client.search(&q).await;
@@ -152,9 +170,11 @@ fn check_cluster_matches_model(shards: usize, dataset_seed: u64, ops: Vec<Op>) {
         // The partition must not lose or duplicate anything: a full-window
         // query returns exactly the model's live set.
         let world = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let mut got = client.search(&world).await;
-        got.sort_unstable();
-        assert_eq!(got, model.search(&world), "full-window sweep diverged");
+        for client in &clients {
+            let mut got = client.search(&world).await;
+            got.sort_unstable();
+            assert_eq!(got, model.search(&world), "full-window sweep diverged");
+        }
     });
 }
 
@@ -169,43 +189,27 @@ fn check_cut_boundary_windows(shards: usize, dataset_seed: u64, picks: Vec<(u8, 
     let sim = Sim::new();
     sim.run_until(async move {
         let net = Network::new();
-        let profile = infiniband_100g();
-        let rkeys = RkeyAllocator::new();
         let dataset = uniform_rects(300, 1e-3, dataset_seed);
         let mut model = Model {
             live: dataset.clone(),
         };
-        let cluster = CatfishCluster::build(
-            &net,
-            &profile,
-            ServerConfig {
-                cores: 2,
-                mode: ServerMode::EventDriven,
-                ..ServerConfig::default()
-            },
-            RTreeConfig::default(),
-            dataset,
-            shards,
-            &rkeys,
-        );
-        let mut client = CatfishClusterClient::connect(
-            &cluster,
-            &net,
-            &profile,
-            ClientConfig {
-                mode: AccessMode::FastMessaging,
-                ..ClientConfig::default()
-            },
-            dataset_seed ^ 0xB0u64,
-        );
-        let ShardMap::Region { cuts, .. } = client.shard_map() else {
+        let cluster = build(&net, dataset, shards);
+        let mut clients = [
+            connect(&cluster, &net, dataset_seed ^ 0xB0u64),
+            connect(&cluster, &net, dataset_seed ^ 0xB1u64),
+        ];
+        let ShardMap::Region { cuts, .. } = cluster.shard_map() else {
             panic!("r-tree cluster must use a region map");
         };
-        let cuts = cuts.clone();
         assert!(!cuts.is_empty(), "need at least one cut at {shards} shards");
 
         let mut next_id = 1u64 << 41;
         for (step, (cut_pick, variant, y, w)) in picks.into_iter().enumerate() {
+            // One client writes, the other reads the write back.
+            let [writer, reader] = &mut clients;
+            if step % 2 == 1 {
+                std::mem::swap(writer, reader);
+            }
             let cut = cuts[cut_pick as usize % cuts.len()];
             let y = y.clamp(0.0, 0.99);
             let w = w.clamp(1e-4, 0.1);
@@ -222,10 +226,10 @@ fn check_cut_boundary_windows(shards: usize, dataset_seed: u64, picks: Vec<(u8, 
                 // exactly on the cut, then make sure reads find it back.
                 let id = next_id;
                 next_id += 1;
-                assert!(client.insert(rect, id).await, "step {step}: insert refused");
+                assert!(writer.insert(rect, id).await, "step {step}: insert refused");
                 model.live.push((rect, id));
             }
-            let mut got = client.search(&rect).await;
+            let mut got = reader.search(&rect).await;
             got.sort_unstable();
             assert_eq!(
                 got,
@@ -235,10 +239,45 @@ fn check_cut_boundary_windows(shards: usize, dataset_seed: u64, picks: Vec<(u8, 
         }
 
         let world = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let mut got = client.search(&world).await;
-        got.sort_unstable();
-        assert_eq!(got, model.search(&world), "full-window sweep diverged");
+        for client in &clients {
+            let mut got = client.search(&world).await;
+            got.sort_unstable();
+            assert_eq!(got, model.search(&world), "full-window sweep diverged");
+        }
     });
+}
+
+/// An acked insert is visible to every client of the cluster, not only
+/// the writer. Client A inserts outside every bulk-load bound (and, with
+/// an empty load set, into shards that held nothing); client B's window
+/// search and kNN must then find it, at 1, 2 and 4 shards.
+#[test]
+fn acked_insert_is_visible_to_another_client() {
+    for shards in [1, 2, 4] {
+        for loaded in [300, 0] {
+            let sim = Sim::new();
+            sim.run_until(async move {
+                let net = Network::new();
+                let cluster = build(&net, uniform_rects(loaded, 1e-3, 5), shards);
+                let mut a = connect(&cluster, &net, 1);
+                let b = connect(&cluster, &net, 2);
+                let rect = Rect::new(1.5, 1.5, 1.6, 1.6);
+                assert!(a.insert(rect, 777).await);
+                let window = Rect::new(1.4, 1.4, 1.7, 1.7);
+                assert_eq!(a.search(&window).await, vec![777]);
+                assert_eq!(
+                    b.search(&window).await,
+                    vec![777],
+                    "window search, {shards} shards, {loaded} loaded"
+                );
+                assert_eq!(
+                    b.nearest(1.55, 1.55, 1).await,
+                    vec![(rect, 777)],
+                    "kNN, {shards} shards, {loaded} loaded"
+                );
+            });
+        }
+    }
 }
 
 proptest! {

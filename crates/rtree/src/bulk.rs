@@ -168,6 +168,15 @@ impl SpacePartition {
 /// Panics if `shards == 0`.
 pub fn partition_by_x(items: Vec<(Rect, u64)>, shards: usize) -> SpacePartition {
     assert!(shards > 0, "a cluster needs at least one shard");
+    if shards == 1 {
+        // One slab is the whole load set: no cut to place, nothing to move.
+        let bound = items.iter().map(|(r, _)| *r).reduce(|a, b| a.union(&b));
+        return SpacePartition {
+            slabs: vec![items],
+            cuts: Vec::new(),
+            bounds: vec![bound],
+        };
+    }
     let cuts: Vec<f64> = if items.is_empty() {
         (1..shards).map(|i| i as f64 / shards as f64).collect()
     } else {
@@ -453,6 +462,9 @@ mod tests {
         let part = partition_by_x(data.clone(), 1);
         assert!(part.cuts.is_empty());
         assert_eq!(part.slabs[0], data);
+        let mbr = data[1..].iter().fold(data[0].0, |b, (r, _)| b.union(r));
+        assert_eq!(part.bounds, vec![Some(mbr)]);
+        assert_eq!(partition_by_x(Vec::new(), 1).bounds, vec![None]);
     }
 
     /// Deterministic entries with unique payloads. `ties` 0 draws free

@@ -163,60 +163,6 @@ impl<M: ChunkMemory> ChunkStore<M> {
         self.mem
     }
 
-    /// The allocator state `(next_unused_chunk, free_list)` — what a
-    /// snapshot must persist besides the arena bytes.
-    pub fn allocator_state(&self) -> (u32, Vec<u32>) {
-        (self.next, self.free.clone())
-    }
-
-    /// Reconstructs a store from persisted parts: the arena bytes, the
-    /// layout, and the allocator state. Per-chunk version counters are
-    /// recovered from the chunks' own line stamps, and the tree metadata
-    /// from chunk 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description if the metadata chunk does not decode or the
-    /// allocator state is inconsistent with the arena size.
-    pub fn from_parts(
-        mem: M,
-        layout: ChunkLayout,
-        next: u32,
-        free: Vec<u32>,
-    ) -> Result<Self, &'static str> {
-        let capacity = mem.len() / layout.chunk_bytes();
-        if capacity < 2 || next as usize > capacity || next == 0 {
-            return Err("allocator state inconsistent with arena size");
-        }
-        if free.iter().any(|&f| f == 0 || f >= next) {
-            return Err("free list references out-of-range chunks");
-        }
-        let mut versions = vec![0u64; capacity];
-        let mut line0 = [0u8; 8];
-        for (i, v) in versions.iter_mut().enumerate().take(next as usize) {
-            mem.read_into(layout.chunk_offset(i as u32), &mut line0);
-            *v = u64::from_le_bytes(line0);
-        }
-        let mut buf = vec![0u8; layout.chunk_bytes()];
-        mem.read_into(0, &mut buf);
-        let (meta, _) = layout
-            .decode_meta(&buf)
-            .map_err(|_| "metadata chunk does not decode")?;
-        let live = (next as usize - 1) - free.len();
-        Ok(ChunkStore {
-            mem,
-            layout,
-            versions,
-            free,
-            next,
-            live,
-            meta,
-            scratch: RefCell::new(Vec::new()),
-            lane_scratch: RefCell::new(Vec::new()),
-            write_buf: Vec::new(),
-        })
-    }
-
     /// Reads and decodes the chunk at `id` without panicking on errors.
     ///
     /// # Errors
@@ -491,13 +437,9 @@ mod tests {
         n.entries
             .push(Entry::data(Rect::new(0.1, 0.1, 0.2, 0.2), 9));
         s.write(id, &n);
-        let layout = s.layout();
-        let (next, free) = s.allocator_state();
-        let mut mem = s.into_mem();
         // Corrupt the second line's version stamp: a torn write snapshot.
-        let off = layout.node_offset(id) + LINE_BYTES;
-        mem[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let s = ChunkStore::from_parts(mem, layout, next, free).unwrap();
+        let off = s.layout().node_offset(id) + LINE_BYTES;
+        s.mem[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             s.try_visit(id, |n| n.clone()),
             Err(CodecError::TornRead { .. })
