@@ -306,8 +306,9 @@ fn run_chaos_cell(
 
         // Heal the crashed member: lift the partition (the operator
         // rebooted the NIC), reconcile by hash-range bisection, and
-        // revive. Every surviving replica already agrees (synchronous
-        // forwarding); the revived one must agree after repair — and
+        // revive. Every surviving replica already agrees (promotion
+        // re-sync, then synchronous forwarding); the revived one must
+        // agree after repair — and
         // keep agreeing for writes issued after revival.
         let heal = if kill {
             cluster

@@ -462,6 +462,13 @@ impl WireCodec for KvWire {
             other => (None, other),
         }
     }
+
+    fn mutation_key(msg: &KvMessage) -> Option<u64> {
+        match msg {
+            KvMessage::PutReq { key, .. } | KvMessage::RemoveReq { key, .. } => Some(*key),
+            _ => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

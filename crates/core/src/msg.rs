@@ -574,6 +574,13 @@ impl WireCodec for RtreeWire {
             other => (None, other),
         }
     }
+
+    fn mutation_key(msg: &Message) -> Option<u64> {
+        match msg {
+            Message::InsertReq { data, .. } | Message::DeleteReq { data, .. } => Some(*data),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -44,6 +44,20 @@ struct OpenOp {
     start_ns: u64,
 }
 
+/// One primary→backup forwarding leg: the bare mutation, its replication
+/// envelope, and the `(trace id, parent span)` of the request behind it.
+pub(crate) type ForwardLeg<B> = (WireMessage<B>, ReplEnvelope, Option<(u64, u64)>);
+
+/// One request's outcome in [`ServiceClient::exchange`].
+struct Reply<B: ClientBackend> {
+    /// END status; [`STATUS_UNACKED`] when the retry budget gave up.
+    status: u32,
+    /// Items of its CONT/END segments (of the last attempt, if unacked).
+    items: Vec<WireItem<B>>,
+    /// Span clock when its END arrived, or when the exchange gave up.
+    at_ns: u64,
+}
+
 /// A Catfish client bound to one connection, generic over the index being
 /// served. Owns the single implementation of request/response sequencing,
 /// heartbeat consumption, Algorithm 1 routing, and the offloaded traversal
@@ -409,8 +423,8 @@ impl<B: ClientBackend> ServiceClient<B> {
     ) -> (u32, Vec<WireItem<B>>) {
         self.seq += 1;
         let seq = self.seq;
-        // The envelopes are applied before the single encode, so every
-        // retransmission re-sends the identical traced bytes.
+        // The envelopes are applied once, so every retransmission
+        // re-sends the identical traced bytes.
         let mut msg = build(seq);
         if let Some(mut env) = self.pending_origin.take() {
             env.link_seq = seq;
@@ -419,23 +433,77 @@ impl<B: ClientBackend> ServiceClient<B> {
         if let Some(ctx) = self.wire_ctx(0) {
             msg = B::Wire::traced(ctx, msg);
         }
-        let encoded = B::Wire::encode(&msg);
-        if self.ch.tx.send(&encoded, seq).await.is_err() {
-            return (STATUS_UNACKED, Vec::new());
-        }
-        self.flight.note(FlightEvent::Send {
-            seq,
-            bytes: encoded.len() as u32,
-        });
-        // CqWait: request delivered until the END frame is in hand —
+        let reply = self.exchange(seq, 1, |_, _| msg.clone()).await;
+        let Reply { status, items, .. } = reply.into_iter().next().expect("one request");
+        (status, items)
+    }
+
+    /// The one send → collect ENDs → deadline → backoff → retransmit loop
+    /// behind fast messaging, read batches and forwarding legs. Sends
+    /// requests `0..n`, numbered `first_seq..`, as one ring frame — a
+    /// `Batch` frame when `n > 1` — and collects each one's CONT/END
+    /// segments by sequence number. On a timeout only the still-pending
+    /// requests are retransmitted, with capped exponential backoff, under
+    /// their original sequence numbers, so the server's dedup window keeps
+    /// retried writes exactly-once.
+    ///
+    /// `build(i, flags)` makes request `i` for each (re)send; `flags` are
+    /// the trace flags the frame warrants ([`TRACE_FLAG_BATCHED`] when the
+    /// request shares it, [`TRACE_FLAG_RETRANSMIT`] on a replay). Returns
+    /// one [`Reply`] per request, in order.
+    async fn exchange(
+        &mut self,
+        first_seq: u32,
+        n: usize,
+        mut build: impl FnMut(usize, u8) -> WireMessage<B>,
+    ) -> Vec<Reply<B>> {
+        let index = |seq: u32| {
+            let i = seq.wrapping_sub(first_seq) as usize;
+            (i < n).then_some(i)
+        };
+        let mut replies: Vec<Reply<B>> = (0..n)
+            .map(|_| Reply {
+                status: STATUS_UNACKED,
+                items: Vec::new(),
+                at_ns: 0,
+            })
+            .collect();
+        let mut pending = vec![true; n];
+        let mut left = n;
+        let mut send: Vec<usize> = (0..n).collect();
+        // CqWait: request delivered until the last END is in hand —
         // everything the client spends blocked on the response path.
-        let wait_span = self.trace.begin();
-        let mut out = Vec::new();
+        let mut wait_span = None;
         let mut retries = 0u32;
         let mut backoff = self.cfg.retry_backoff;
         loop {
+            let mut flags = if retries > 0 {
+                TRACE_FLAG_RETRANSMIT
+            } else {
+                0
+            };
+            let frame = if let [i] = send[..] {
+                B::Wire::encode(&build(i, flags))
+            } else {
+                flags |= TRACE_FLAG_BATCHED;
+                self.stats.batches_sent += 1;
+                self.stats.batched_msgs += send.len() as u64;
+                let msgs = send.iter().map(|&i| build(i, flags)).collect();
+                B::Wire::encode(&B::Wire::batch(msgs))
+            };
+            let frame_seq = first_seq.wrapping_add(send[0] as u32);
+            if self.ch.tx.send(&frame, frame_seq).await.is_err() {
+                break;
+            }
+            if retries == 0 {
+                self.flight.note(FlightEvent::Send {
+                    seq: frame_seq,
+                    bytes: frame.len() as u32,
+                });
+                wait_span = Some(self.trace.begin());
+            }
             let deadline = now() + self.cfg.request_timeout;
-            loop {
+            while left > 0 {
                 let Some(bytes) = self.recv_ring_message(deadline).await else {
                     break;
                 };
@@ -444,63 +512,111 @@ impl<B: ClientBackend> ServiceClient<B> {
                 };
                 match B::Wire::classify(msg) {
                     Incoming::Heartbeat(p) => self.note_heartbeat(p),
-                    Incoming::Cont { seq: s, items } if s == seq => out.extend(items),
-                    Incoming::End {
-                        seq: s,
-                        items,
-                        status,
-                    } if s == seq => {
-                        out.extend(items);
-                        self.flight.note(FlightEvent::Recv {
-                            seq,
-                            items: out.len() as u32,
-                        });
-                        self.trace.end(Phase::CqWait, wait_span);
-                        return (status, out);
+                    Incoming::Cont { seq, items } => {
+                        if let Some(i) = index(seq).filter(|&i| pending[i]) {
+                            replies[i].items.extend(items);
+                        }
+                    }
+                    Incoming::End { seq, items, status } => {
+                        if let Some(i) = index(seq).filter(|&i| pending[i]) {
+                            pending[i] = false;
+                            left -= 1;
+                            let reply = &mut replies[i];
+                            reply.items.extend(items);
+                            reply.status = status;
+                            reply.at_ns = self.span.now_ns();
+                            self.flight.note(FlightEvent::Recv {
+                                seq,
+                                items: reply.items.len() as u32,
+                            });
+                        }
                     }
                     _ => {}
                 }
             }
-            // Attempt timed out: retransmit under the same sequence number
-            // (the server's dedup window keeps retried writes idempotent),
-            // with capped exponential backoff between attempts.
-            if !self.timeout_backoff(seq, retries, backoff).await {
-                self.trace.end(Phase::CqWait, wait_span);
-                return (STATUS_UNACKED, out);
+            if left == 0 {
+                break;
+            }
+            send = (0..n).filter(|&i| pending[i]).collect();
+            let timed_out = first_seq.wrapping_add(send[0] as u32);
+            if !self.timeout_backoff(timed_out, retries, backoff).await {
+                break;
             }
             backoff = self.next_backoff(backoff);
             retries += 1;
-            // CONT segments of an abandoned attempt may be partial; a
-            // retransmitted request re-sends the full response.
-            out.clear();
-            self.stats.retransmits += 1;
-            self.flight.note(FlightEvent::Retransmit { seq });
-            if self.ch.tx.send(&encoded, seq).await.is_err() {
-                self.trace.end(Phase::CqWait, wait_span);
-                return (STATUS_UNACKED, out);
+            self.stats.retransmits += send.len() as u64;
+            for &i in &send {
+                // Partial CONTs of the abandoned attempt are re-sent in full.
+                replies[i].items.clear();
+                self.flight.note(FlightEvent::Retransmit {
+                    seq: first_seq.wrapping_add(i as u32),
+                });
             }
         }
+        if let Some(span) = wait_span {
+            self.trace.end(Phase::CqWait, span);
+        }
+        let gave_up = self.span.now_ns();
+        for (reply, _) in replies.iter_mut().zip(pending).filter(|(_, p)| *p) {
+            reply.at_ns = gave_up;
+        }
+        replies
     }
 
-    /// Ships an already-built mutation down this connection inside a
-    /// [`ReplEnvelope`] — the primary→backup forwarding leg. The span
-    /// parent (when given) makes the leg an `Rpc` child of the request
-    /// that triggered it, so forwarded hops stay connected in the trace
-    /// assembly. Returns the backup's END status ([`STATUS_UNACKED`] when
-    /// the backup never answered within the retry budget).
-    pub(crate) async fn forward(
-        &mut self,
-        inner: WireMessage<B>,
-        env: ReplEnvelope,
-        parent: Option<(u64, u64)>,
-    ) -> u32 {
+    /// Ships already-applied mutations down this connection as one
+    /// group-committed frame — the primary→backup forwarding leg. Each leg
+    /// is `(mutation, envelope, trace parent)`; it gets its own link
+    /// sequence number (bound into the envelope) and, when its parent is
+    /// given, its own `Rpc` child span under the request that triggered
+    /// it, so every forwarded hop stays connected in the trace assembly.
+    /// The backup executes the frame in order under one dispatch charge;
+    /// timeouts retransmit only the pending legs (see
+    /// [`ServiceClient::exchange`]).
+    ///
+    /// Returns the backup's END status per leg, in order;
+    /// [`STATUS_UNACKED`] for a leg the retry budget gave up on.
+    pub(crate) async fn forward_batch(&mut self, legs: Vec<ForwardLeg<B>>) -> Vec<u32> {
         self.drain_pending();
-        self.pending_parent = parent;
-        self.pending_origin = Some(env);
-        let opened = self.op_begin();
-        let (status, _) = self.fast_request(move |_| inner).await;
-        self.op_end(opened);
-        status
+        let first_seq = self.seq.wrapping_add(1);
+        let flags = if legs.len() > 1 {
+            TRACE_FLAG_BATCHED
+        } else {
+            0
+        };
+        let mut msgs = Vec::with_capacity(legs.len());
+        // Per leg: (trace id, span id, parent span, start) of its Rpc span.
+        let mut spans = Vec::with_capacity(legs.len());
+        for (inner, mut env, parent) in legs {
+            self.seq += 1;
+            env.link_seq = self.seq;
+            let mut m = B::Wire::replicated(env, inner);
+            let mut span = None;
+            if let (Some((trace_id, parent)), true) = (parent, self.span.active()) {
+                let span_id = self.span.next_span_id();
+                let ctx = TraceContext {
+                    trace_id,
+                    parent_span: span_id,
+                    flags,
+                };
+                m = B::Wire::traced(ctx, m);
+                span = Some((trace_id, span_id, parent, self.span.now_ns()));
+            }
+            spans.push(span);
+            msgs.push(m);
+        }
+        // A retransmitted leg re-sends its original bytes.
+        let replies = self
+            .exchange(first_seq, msgs.len(), |i, _| msgs[i].clone())
+            .await;
+        // Legs the backup never acked still close their spans: a backup
+        // that applied one late emits its server spans under it.
+        for (span, reply) in spans.into_iter().zip(&replies) {
+            if let Some((trace_id, span_id, parent, start)) = span {
+                self.span
+                    .record(trace_id, span_id, parent, SpanKind::Rpc, start, reply.at_ns);
+            }
+        }
+        replies.into_iter().map(|r| r.status).collect()
     }
 
     /// A read served by the server through fast messaging.
@@ -696,173 +812,47 @@ impl<B: ClientBackend> ServiceClient<B> {
             }
             let started = now();
             let tracing = self.span.active();
-            // Per-read root spans: seq → (root span id, start_ns). Each
-            // read in the window is its own trace; the envelope rides
-            // inside the batch frame, so coalescing preserves identity.
-            let mut open: HashMap<u32, (u64, u64)> = HashMap::new();
-            let base_flags = if chunk > 1 { TRACE_FLAG_BATCHED } else { 0 };
-            let mut seqs = Vec::with_capacity(chunk);
-            let mut msgs = Vec::with_capacity(chunk);
-            for read in &reads[next..next + chunk] {
-                self.seq += 1;
-                seqs.push(self.seq);
-                let mut m = B::read_request(self.seq, read);
-                if tracing {
-                    let span_id = self.span.next_span_id();
-                    open.insert(self.seq, (span_id, self.span.now_ns()));
-                    m = B::Wire::traced(
-                        TraceContext {
-                            trace_id: span_id,
-                            parent_span: span_id,
-                            flags: base_flags,
-                        },
-                        m,
-                    );
-                }
-                msgs.push(m);
-            }
+            // Per-read root spans `(span id, start_ns)`: each read in the
+            // window is its own trace; the envelope rides inside the batch
+            // frame, so coalescing preserves identity, and a retransmission
+            // re-wraps the same root (trace identity is stable across
+            // retries; the flags show the replay).
+            let first_seq = self.seq.wrapping_add(1);
+            let open: Vec<Option<(u64, u64)>> = (0..chunk)
+                .map(|_| {
+                    self.seq += 1;
+                    tracing.then(|| (self.span.next_span_id(), self.span.now_ns()))
+                })
+                .collect();
             self.stats.fast_reads += chunk as u64;
-            let first_seq = seqs[0];
-            let sent = if chunk == 1 {
-                let msg = msgs.pop().expect("one request");
-                let encoded = B::Wire::encode(&msg);
-                self.flight.note(FlightEvent::Send {
-                    seq: first_seq,
-                    bytes: encoded.len() as u32,
-                });
-                self.ch.tx.send(&encoded, first_seq).await
-            } else {
-                self.stats.batches_sent += 1;
-                self.stats.batched_msgs += chunk as u64;
-                let encoded = B::Wire::encode(&B::Wire::batch(msgs));
-                self.flight.note(FlightEvent::Send {
-                    seq: first_seq,
-                    bytes: encoded.len() as u32,
-                });
-                self.ch.tx.send(&encoded, first_seq).await
-            };
-            if sent.is_err() {
-                out.extend(vec![Vec::new(); chunk]);
-                next += chunk;
-                continue;
-            }
-            let wait_span = self.trace.begin();
-            let mut pending: HashMap<u32, usize> =
-                seqs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-            let mut bufs: Vec<Vec<WireItem<B>>> = vec![Vec::new(); chunk];
-            let mut done = 0usize;
-            let mut retries = 0u32;
-            let mut backoff = self.cfg.retry_backoff;
-            'flush: while done < chunk {
-                let deadline = now() + self.cfg.request_timeout;
-                while done < chunk {
-                    let Some(bytes) = self.recv_ring_message(deadline).await else {
-                        break;
-                    };
-                    let Ok(msg) = B::Wire::decode(&bytes) else {
-                        continue;
-                    };
-                    match B::Wire::classify(msg) {
-                        Incoming::Heartbeat(p) => self.note_heartbeat(p),
-                        Incoming::Cont { seq, items } => {
-                            if let Some(&i) = pending.get(&seq) {
-                                bufs[i].extend(items);
-                            }
-                        }
-                        Incoming::End { seq, items, .. } => {
-                            if let Some(i) = pending.remove(&seq) {
-                                bufs[i].extend(items);
-                                done += 1;
-                                self.flight.note(FlightEvent::Recv {
-                                    seq,
-                                    items: bufs[i].len() as u32,
-                                });
-                                if let Some((span_id, start)) = open.remove(&seq) {
-                                    self.span.record(
-                                        span_id,
-                                        span_id,
-                                        0,
-                                        SpanKind::Request,
-                                        start,
-                                        self.span.now_ns(),
-                                    );
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if done >= chunk {
-                    break;
-                }
-                // Responses for part of the flush never arrived:
-                // retransmit only the still-pending requests, re-keyed by
-                // their original sequence numbers so server-side dedup
-                // keeps the retried operations idempotent.
-                let timed_out = pending.keys().next().copied().unwrap_or(first_seq);
-                if !self.timeout_backoff(timed_out, retries, backoff).await {
-                    break; // give up: unanswered slots stay empty
-                }
-                backoff = self.next_backoff(backoff);
-                retries += 1;
-                let mut redo: Vec<(usize, u32)> = pending.iter().map(|(&s, &i)| (i, s)).collect();
-                redo.sort_unstable();
-                // Rebuilt retransmissions re-wrap the same root context
-                // (trace identity is stable across retries), flagged so
-                // the tree shows the hop was a replay.
-                let re_flags = if redo.len() > 1 {
-                    TRACE_FLAG_BATCHED | TRACE_FLAG_RETRANSMIT
-                } else {
-                    TRACE_FLAG_RETRANSMIT
-                };
-                let mut remsgs = Vec::with_capacity(redo.len());
-                for &(i, s) in &redo {
-                    bufs[i].clear(); // partial CONTs will be re-sent in full
-                    let mut m = B::read_request(s, &reads[next + i]);
-                    if let Some(&(span_id, _)) = open.get(&s) {
-                        m = B::Wire::traced(
+            let window = &reads[next..next + chunk];
+            let replies = self
+                .exchange(first_seq, chunk, |i, flags| {
+                    let m = B::read_request(first_seq.wrapping_add(i as u32), &window[i]);
+                    match open[i] {
+                        Some((span_id, _)) => B::Wire::traced(
                             TraceContext {
                                 trace_id: span_id,
                                 parent_span: span_id,
-                                flags: re_flags,
+                                flags,
                             },
                             m,
-                        );
+                        ),
+                        None => m,
                     }
-                    remsgs.push(m);
-                    self.flight.note(FlightEvent::Retransmit { seq: s });
-                }
-                self.stats.retransmits += remsgs.len() as u64;
-                let re_seq = redo[0].1;
-                let resent = if remsgs.len() == 1 {
-                    let msg = remsgs.pop().expect("one request");
-                    self.ch.tx.send(&B::Wire::encode(&msg), re_seq).await
-                } else {
-                    self.ch
-                        .tx
-                        .send(&B::Wire::encode(&B::Wire::batch(remsgs)), re_seq)
-                        .await
-                };
-                if resent.is_err() {
-                    break 'flush;
-                }
-            }
+                })
+                .await;
             // Abandoned reads still close their root span: a server that
             // executed the request after the client gave up emits child
             // spans under this root, so the tree stays connected.
-            for (_, (span_id, start)) in open.drain() {
-                self.span.record(
-                    span_id,
-                    span_id,
-                    0,
-                    SpanKind::Request,
-                    start,
-                    self.span.now_ns(),
-                );
+            for (root, reply) in open.into_iter().zip(&replies) {
+                if let Some((span_id, start)) = root {
+                    self.span
+                        .record(span_id, span_id, 0, SpanKind::Request, start, reply.at_ns);
+                }
             }
-            self.trace.end(Phase::CqWait, wait_span);
             est_per_op = Some(now().saturating_duration_since(started) / chunk as u64);
-            out.extend(bufs);
+            out.extend(replies.into_iter().map(|r| r.items));
             next += chunk;
         }
         out

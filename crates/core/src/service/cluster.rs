@@ -39,7 +39,7 @@ use crate::stats::ServiceStats;
 
 use super::{
     ClientBackend, IndexBackend, OpKind, RangeDigest, ReplEnvelope, ServiceClient, ServiceServer,
-    WireItem, WireMessage, REPL_FENCED, STATUS_UNACKED,
+    WireCodec, WireItem, WireMessage, REPL_FENCED, STATUS_UNACKED,
 };
 
 /// SplitMix64 — the hash behind the KV ring's virtual points and the
@@ -224,6 +224,17 @@ struct CtlState {
     epoch: u64,
     primary: usize,
     alive: Vec<bool>,
+    on_promote: Option<PromoteHook>,
+}
+
+/// The state transfer a promotion runs (see [`ReplicaCtl::on_promote`]).
+#[derive(Clone)]
+struct PromoteHook(Rc<dyn Fn(&ReplicaCtl)>);
+
+impl std::fmt::Debug for PromoteHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("PromoteHook")
+    }
 }
 
 /// The shared control block of one shard's replica set: who is primary,
@@ -236,7 +247,9 @@ struct CtlState {
 /// deterministic, epoch-numbered promotion sequence: the epoch advances
 /// exactly when the primary role moves, and every mutation carries the
 /// epoch its writer believed in, so a deposed primary's in-flight writes
-/// are fenced by whichever replica they reach.
+/// are fenced by whichever replica they reach. A promotion also runs the
+/// set's state transfer ([`ReplicaCtl::on_promote`]), so the survivors
+/// agree before the new epoch applies its first write.
 #[derive(Debug, Clone)]
 pub struct ReplicaCtl {
     inner: Rc<RefCell<CtlState>>,
@@ -256,6 +269,7 @@ impl ReplicaCtl {
                 epoch: 0,
                 primary: 0,
                 alive: vec![true; replicas],
+                on_promote: None,
             })),
         }
     }
@@ -299,30 +313,40 @@ impl ReplicaCtl {
     /// idempotence: a report made under a stale epoch is discarded — its
     /// evidence predates the promotion that already handled the failure.
     /// Suspecting the primary promotes the next alive member in wrapping
-    /// index order (deterministic — no election) and bumps the epoch; the
-    /// last alive member can never be suspected. Returns whether the
-    /// report took effect.
+    /// index order (deterministic — no election), bumps the epoch and runs
+    /// the promotion hook; the last alive member can never be suspected.
+    /// Returns whether the report took effect.
     pub fn suspect(&self, id: usize, observed_epoch: u64) -> bool {
-        let mut s = self.inner.borrow_mut();
-        if observed_epoch != s.epoch || !s.alive[id] {
-            return false;
-        }
-        s.alive[id] = false;
-        if s.primary == id {
-            let n = s.alive.len();
-            match (1..n).map(|k| (id + k) % n).find(|&c| s.alive[c]) {
-                Some(p) => {
-                    s.primary = p;
-                    s.epoch += 1;
-                }
-                None => {
-                    // No successor: refuse to take the last member down.
-                    s.alive[id] = true;
-                    return false;
-                }
+        let hook = {
+            let mut s = self.inner.borrow_mut();
+            if observed_epoch != s.epoch || !s.alive[id] {
+                return false;
             }
+            s.alive[id] = false;
+            if s.primary != id {
+                return true;
+            }
+            let n = s.alive.len();
+            let Some(p) = (1..n).map(|k| (id + k) % n).find(|&c| s.alive[c]) else {
+                // No successor: refuse to take the last member down.
+                s.alive[id] = true;
+                return false;
+            };
+            s.primary = p;
+            s.epoch += 1;
+            s.on_promote.clone()
+        };
+        if let Some(hook) = hook {
+            (hook.0)(self);
         }
         true
+    }
+
+    /// Installs the state transfer every promotion runs, right after the
+    /// epoch bump and before the new epoch can apply a write. It gets
+    /// this block, already showing the new primary.
+    pub(crate) fn on_promote(&self, f: impl Fn(&ReplicaCtl) + 'static) {
+        self.inner.borrow_mut().on_promote = Some(PromoteHook(Rc::new(f)));
     }
 
     /// Marks `id` alive again. Call **after** repairing it — a revived
@@ -359,9 +383,9 @@ pub struct RepairReport {
     pub converged: bool,
 }
 
-/// One forwarding job queued to a backup's pump: the bare mutation, its
-/// envelope, the trace parent of the originating request, and the oneshot
-/// the primary's END awaits.
+/// One forwarding job queued on a lane: the bare mutation, its envelope,
+/// the trace parent of the originating request, and the oneshot the
+/// primary's END awaits.
 struct ForwardJob<B: ClientBackend> {
     msg: WireMessage<B>,
     env: ReplEnvelope,
@@ -369,30 +393,49 @@ struct ForwardJob<B: ClientBackend> {
     done: catfish_simnet::sync::OneshotSender<u32>,
 }
 
-/// Per-backup forwarding pump: exclusively owns one ring connection
-/// primary-node → backup and ships queued mutations over it **in order**
-/// (the connection seq + dedup window give the leg exactly-once). One
-/// pump per backup keeps the borrow discipline trivial — a single
-/// borrower per connection cell — while backups still replicate in
-/// parallel, each down its own pump.
+/// Forwarding lanes per ordered (member → peer) pair. Each lane is its own
+/// ring connection plus pump task, and mutations pick a lane by hashing
+/// their key, so a backup applies unrelated keys on up to this many
+/// workers at once while same-key mutations stay in order on one lane.
+/// Under Zipf-skewed keys the hottest key pins one lane, so more lanes
+/// stop paying off quickly while each one costs a connection's memory.
+const FORWARD_LANES: usize = 8;
+
+/// One forwarding lane's pump: exclusively owns one ring connection
+/// member-node → peer and group-commits whatever is queued on the lane —
+/// up to `max_batch` jobs per frame — in order, one frame in flight at a
+/// time (the link seqs + dedup window give each job exactly-once). A
+/// single borrower per connection cell keeps the borrow discipline
+/// trivial, while lanes and peers replicate in parallel.
 #[allow(clippy::await_holding_refcell_ref)]
 async fn forward_pump<B: ClientBackend>(
     client: Rc<RefCell<ServiceClient<B>>>,
     mut rx: catfish_simnet::sync::Receiver<ForwardJob<B>>,
     ctl: ReplicaCtl,
     peer: usize,
+    max_batch: usize,
 ) {
-    while let Some(job) = rx.recv().await {
+    while let Some(first) = rx.recv().await {
+        let mut jobs = vec![first];
+        while jobs.len() < max_batch {
+            match rx.try_recv() {
+                Some(job) => jobs.push(job),
+                None => break,
+            }
+        }
         if !ctl.is_alive(peer) {
-            // The set already gave up on this backup; it re-converges via
+            // The set already gave up on this peer; it re-converges via
             // hash-range repair before revival, not through this queue.
-            job.done.send(STATUS_UNACKED);
+            for job in jobs {
+                job.done.send(STATUS_UNACKED);
+            }
             continue;
         }
-        let status = client
-            .borrow_mut()
-            .forward(job.msg, job.env, job.parent)
-            .await;
+        let (legs, dones): (Vec<_>, Vec<_>) = jobs
+            .into_iter()
+            .map(|j| ((j.msg, j.env, j.parent), j.done))
+            .unzip();
+        let status = client.borrow_mut().forward_batch(legs).await;
         // Retry-budget exhaustion is deliberately NOT a suspicion: a
         // primary whose own NIC is partitioned would otherwise declare
         // every healthy backup dead and block its own deposition (no
@@ -400,9 +443,14 @@ async fn forward_pump<B: ClientBackend>(
         // and divergence is what hash-range repair reconverges; liveness
         // verdicts stay with the failover path that observes the peer
         // directly.
-        job.done.send(status);
+        for (done, s) in dones.into_iter().zip(status) {
+            done.send(s);
+        }
     }
 }
+
+/// The sending end of one forwarding lane.
+type LaneTx<B> = catfish_simnet::sync::Sender<ForwardJob<B>>;
 
 /// A cluster of [`ServiceServer`] shards, each on its own fabric node —
 /// own cores, own NIC, own registered arena, own heartbeat stream — and
@@ -432,7 +480,7 @@ impl<B: IndexBackend> std::fmt::Debug for ClusterServer<B> {
     }
 }
 
-impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B>
+impl<B: IndexBackend + ShardPartition + ClientBackend + RangeDigest> ClusterServer<B>
 where
     B::LoadItem: Clone,
 {
@@ -444,11 +492,14 @@ where
     ///
     /// Replica 0 of each set starts as primary; the whole set shares one
     /// [`ReplicaCtl`]. With `replicas > 1`, between every ordered pair of
-    /// members a forwarding pump (a dedicated ring connection plus a
-    /// queue-draining task) is strung, and every member gets the fan-out
-    /// hook — so whichever member is promoted later already has its
-    /// forwarding plumbing in place. With `replicas == 1` there are no
-    /// pumps and no envelopes.
+    /// members `FORWARD_LANES` (8) forwarding lanes (each a dedicated ring
+    /// connection plus a queue-draining pump task) are strung, and every
+    /// member gets the fan-out hook — so whichever member is promoted
+    /// later already has its forwarding plumbing in place. A promotion
+    /// brings every live backup up to the new primary — index and applied
+    /// table, by [`ClusterServer::repair_replica`]'s walk — because the
+    /// deposed primary's last forwards may have reached only some of them.
+    /// With `replicas == 1` there are no lanes and no envelopes.
     ///
     /// # Panics
     ///
@@ -492,6 +543,21 @@ where
                 for (r, s) in set.iter().enumerate() {
                     s.set_replica_role(ctl.clone(), r);
                 }
+                // Weak handles: the block lives inside every member.
+                let members: Vec<_> = set.iter().map(ServiceServer::downgrade).collect();
+                ctl.on_promote(move |ctl| {
+                    let Some(primary) = members[ctl.primary()].upgrade() else {
+                        return;
+                    };
+                    for (r, member) in members.iter().enumerate() {
+                        if r == ctl.primary() || !ctl.is_alive(r) {
+                            continue;
+                        }
+                        if let Some(backup) = member.upgrade() {
+                            reconcile(&primary, &backup);
+                        }
+                    }
+                });
                 // Forwarding legs are plain fast-messaging ring traffic:
                 // no adaptive policy, no offloading.
                 let pump_cfg = ClientConfig {
@@ -499,60 +565,80 @@ where
                     ..ClientConfig::default()
                 };
                 for r in 0..replicas {
-                    let mut peers: Vec<Option<catfish_simnet::sync::Sender<ForwardJob<B>>>> =
-                        Vec::with_capacity(replicas);
+                    // peers[r2][lane]: the lane queues from member r to r2.
+                    let mut peers: Vec<Option<Vec<LaneTx<B>>>> = Vec::with_capacity(replicas);
                     for r2 in 0..replicas {
                         if r2 == r {
                             peers.push(None);
                             continue;
                         }
-                        let ch = set[r2].accept(set[r].endpoint());
-                        let seed = 0xF0F0_F0F0
-                            ^ mix64(((i as u64) << 20) | ((r as u64) << 10) | r2 as u64);
-                        let client = Rc::new(RefCell::new(ServiceClient::new(
-                            ch,
-                            set[r2].remote_handle(),
-                            pump_cfg,
-                            seed,
-                        )));
-                        {
-                            let c = Rc::clone(&client);
-                            span_hooks.push((
-                                i,
-                                r,
-                                Box::new(move |log: SpanLog| c.borrow_mut().set_span_log(log)),
+                        let mut lanes = Vec::with_capacity(FORWARD_LANES);
+                        for lane in 0..FORWARD_LANES {
+                            let ch = set[r2].accept(set[r].endpoint());
+                            let seed = 0xF0F0_F0F0
+                                ^ mix64(
+                                    ((i as u64) << 30)
+                                        | ((lane as u64) << 20)
+                                        | ((r as u64) << 10)
+                                        | r2 as u64,
+                                );
+                            let client = Rc::new(RefCell::new(ServiceClient::new(
+                                ch,
+                                set[r2].remote_handle(),
+                                pump_cfg,
+                                seed,
+                            )));
+                            {
+                                let c = Rc::clone(&client);
+                                span_hooks.push((
+                                    i,
+                                    r,
+                                    Box::new(move |log: SpanLog| c.borrow_mut().set_span_log(log)),
+                                ));
+                            }
+                            let (tx, rx) = catfish_simnet::sync::channel();
+                            spawn(forward_pump(
+                                client,
+                                rx,
+                                ctl.clone(),
+                                r2,
+                                cfg.max_batch.max(1),
                             ));
+                            lanes.push(tx);
                         }
-                        let (tx, rx) = catfish_simnet::sync::channel();
-                        spawn(forward_pump(client, rx, ctl.clone(), r2));
-                        peers.push(Some(tx));
+                        peers.push(Some(lanes));
                     }
-                    let peers = Rc::new(peers);
                     let fwd_ctl = ctl.clone();
                     set[r].set_forwarder(move |msg, env, parent| {
-                        let peers = Rc::clone(&peers);
-                        let ctl = fwd_ctl.clone();
+                        // Enqueue on every live peer's lane now — the
+                        // caller invokes this at apply time, so each lane
+                        // carries its keys in apply order — and return
+                        // the wait for all acks (synchronous replication
+                        // to the live set), noting whether any peer
+                        // fenced the forward.
+                        let lane = B::Wire::mutation_key(&msg)
+                            .map_or(0, |k| (mix64(k) % FORWARD_LANES as u64) as usize);
+                        let mut acks = Vec::new();
+                        for (peer, lanes) in peers.iter().enumerate() {
+                            let Some(lanes) = lanes else { continue };
+                            if !fwd_ctl.is_alive(peer) {
+                                continue;
+                            }
+                            let (done, wait) = catfish_simnet::sync::oneshot();
+                            lanes[lane].send(ForwardJob {
+                                msg: msg.clone(),
+                                env,
+                                parent,
+                                done,
+                            });
+                            acks.push(wait);
+                        }
                         Box::pin(async move {
-                            // Fan out to every live backup, then await all
-                            // acks: synchronous replication to the live set.
-                            let mut acks = Vec::new();
-                            for (peer, tx) in peers.iter().enumerate() {
-                                let Some(tx) = tx else { continue };
-                                if !ctl.is_alive(peer) {
-                                    continue;
-                                }
-                                let (done, wait) = catfish_simnet::sync::oneshot();
-                                tx.send(ForwardJob {
-                                    msg: msg.clone(),
-                                    env,
-                                    parent,
-                                    done,
-                                });
-                                acks.push(wait);
-                            }
+                            let mut fenced = false;
                             for w in acks {
-                                let _ = w.await;
+                                fenced |= matches!(w.await, Ok(REPL_FENCED));
                             }
+                            fenced
                         })
                     });
                 }
@@ -674,20 +760,97 @@ const DIGEST_WIRE_BYTES: u64 = 8 + 8 + 16;
 /// authority).
 const KEY_WIRE_BYTES: u64 = 8;
 
+/// Wire bytes charged per applied-table record shipped: origin, op id and
+/// END status.
+const APPLIED_WIRE_BYTES: u64 = 8 + 8 + 4;
+
+/// Brings `lag` up to `auth` by recursive hash-range bisection (the HRTree
+/// scheme): compare the `(xor-fingerprint, count)` digest of a key range,
+/// skip it when equal, bisect when not, and at leaf granularity transfer
+/// only the entries that actually differ. Ranges are walked level by
+/// level, so the number of rounds is the depth of the divergence —
+/// O(log n) — and the bytes moved are proportional to the divergence, not
+/// the index size. The applied-operation table is copied along with the
+/// index, so `lag` then answers reissues exactly as `auth` would.
+///
+/// Synchronous in simulation time (digests are in-memory reads): no write
+/// interleaves. Byte and round counts model the wire cost.
+fn reconcile<B: IndexBackend + RangeDigest>(
+    auth: &ServiceServer<B>,
+    lag: &ServiceServer<B>,
+) -> RepairReport {
+    let mut report = RepairReport::default();
+    let (_, total) = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
+    report.full_resync_bytes = total * B::entry_wire_bytes() as u64;
+
+    let mut frontier: Vec<(u64, u64)> = vec![(0, u64::MAX)];
+    while !frontier.is_empty() {
+        report.rounds += 1;
+        let mut next = Vec::new();
+        for (lo, hi) in frontier {
+            report.ranges_compared += 1;
+            report.bytes_moved += DIGEST_WIRE_BYTES;
+            let (a_xor, a_count) = auth.with_index(|ix| ix.digest_range(lo, hi));
+            let (l_xor, l_count) = lag.with_index(|ix| ix.digest_range(lo, hi));
+            if a_xor == l_xor && a_count == l_count {
+                continue;
+            }
+            if a_count <= REPAIR_LEAF_ENTRIES || lo == hi {
+                reconcile_leaf(auth, lag, lo, hi, &mut report);
+            } else {
+                let mid = lo + (hi - lo) / 2;
+                next.push((lo, mid));
+                next.push((mid + 1, hi));
+            }
+        }
+        frontier = next;
+    }
+    report.bytes_moved += lag.adopt_applied(auth) * APPLIED_WIRE_BYTES;
+
+    let root_a = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
+    let root_l = lag.with_index(|ix| ix.digest_range(0, u64::MAX));
+    report.converged = root_a == root_l;
+    report
+}
+
+/// Leaf step of [`reconcile`]: full entry exchange over one small range —
+/// upsert entries that are missing or different on the lagging member,
+/// delete entries the authority no longer has.
+fn reconcile_leaf<B: IndexBackend + RangeDigest>(
+    auth: &ServiceServer<B>,
+    lag: &ServiceServer<B>,
+    lo: u64,
+    hi: u64,
+    report: &mut RepairReport,
+) {
+    let auth_items = auth.with_index(|ix| ix.items_in_range(lo, hi));
+    let lag_items = lag.with_index(|ix| ix.items_in_range(lo, hi));
+    let lag_by_key: HashMap<u64, B::Entry> = lag_items.iter().cloned().collect();
+    let auth_keys: std::collections::HashSet<u64> = auth_items.iter().map(|(k, _)| *k).collect();
+    let entry_bytes = B::entry_wire_bytes() as u64;
+    for (key, entry) in &auth_items {
+        if lag_by_key.get(key) != Some(entry) {
+            lag.with_index_mut(|ix| ix.apply_entry(entry));
+            report.transferred += 1;
+            report.bytes_moved += entry_bytes;
+        }
+    }
+    for (key, _) in &lag_items {
+        if !auth_keys.contains(key) {
+            lag.with_index_mut(|ix| ix.remove_by_repair_key(*key));
+            report.removed += 1;
+            report.bytes_moved += KEY_WIRE_BYTES;
+        }
+    }
+}
+
 impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
-    /// Reconciles a lagging replica against the shard's current primary by
-    /// recursive hash-range bisection (the HRTree scheme): compare the
-    /// `(xor-fingerprint, count)` digest of a key range, skip it when equal,
-    /// bisect when not, and at leaf granularity transfer only the entries
-    /// that actually differ. Ranges are walked level by level, so the
-    /// number of rounds is the depth of the divergence — O(log n) — and
-    /// the bytes moved are proportional to the divergence, not the index
-    /// size.
-    ///
-    /// The whole walk is synchronous in simulation time (digests are
-    /// in-memory reads), so repair-then-[`ReplicaCtl::revive`] is atomic:
-    /// no writes can interleave. Byte and round counts in the returned
-    /// [`RepairReport`] model the wire cost for the bench gates.
+    /// Reconciles a lagging replica against the shard's current primary
+    /// (see [`reconcile`]: hash-range bisection over the index, plus the
+    /// applied-operation table). The walk is synchronous in simulation
+    /// time, so repair-then-[`ReplicaCtl::revive`] is atomic: no writes
+    /// can interleave. A walk that fails to converge leaves a
+    /// [`Anomaly::RepairFailed`] dump.
     ///
     /// # Panics
     ///
@@ -697,38 +860,10 @@ impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
         assert_ne!(authority, lagging, "cannot repair a primary against itself");
         let auth = &self.sets[shard][authority];
         let lag = &self.sets[shard][lagging];
-
-        let mut report = RepairReport::default();
-        let (_, total) = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
-        report.full_resync_bytes = total * B::entry_wire_bytes() as u64;
-
-        let mut frontier: Vec<(u64, u64)> = vec![(0, u64::MAX)];
-        while !frontier.is_empty() {
-            report.rounds += 1;
-            let mut next = Vec::new();
-            for (lo, hi) in frontier {
-                report.ranges_compared += 1;
-                report.bytes_moved += DIGEST_WIRE_BYTES;
-                let (a_xor, a_count) = auth.with_index(|ix| ix.digest_range(lo, hi));
-                let (l_xor, l_count) = lag.with_index(|ix| ix.digest_range(lo, hi));
-                if a_xor == l_xor && a_count == l_count {
-                    continue;
-                }
-                if a_count <= REPAIR_LEAF_ENTRIES || lo == hi {
-                    self.reconcile_leaf(shard, authority, lagging, lo, hi, &mut report);
-                } else {
-                    let mid = lo + (hi - lo) / 2;
-                    next.push((lo, mid));
-                    next.push((mid + 1, hi));
-                }
-            }
-            frontier = next;
-        }
-
-        let root_a = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
-        let root_l = lag.with_index(|ix| ix.digest_range(0, u64::MAX));
-        report.converged = root_a == root_l;
+        let report = reconcile(auth, lag);
         if !report.converged {
+            let root_a = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
+            let root_l = lag.with_index(|ix| ix.digest_range(0, u64::MAX));
             self.repair_flight.anomaly(Anomaly::RepairFailed {
                 residual: root_a.0 ^ root_l.0,
             });
@@ -744,40 +879,6 @@ impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
             span.record(trace_id, trace_id, 0, SpanKind::Request, t, t);
         }
         report
-    }
-
-    /// Leaf step of [`ClusterServer::repair_replica`]: full entry exchange
-    /// over one small range — upsert entries that are missing or different
-    /// on the lagging member, delete entries the authority no longer has.
-    fn reconcile_leaf(
-        &self,
-        shard: usize,
-        authority: usize,
-        lagging: usize,
-        lo: u64,
-        hi: u64,
-        report: &mut RepairReport,
-    ) {
-        let auth_items = self.sets[shard][authority].with_index(|ix| ix.items_in_range(lo, hi));
-        let lag_items = self.sets[shard][lagging].with_index(|ix| ix.items_in_range(lo, hi));
-        let lag_by_key: HashMap<u64, B::Entry> = lag_items.iter().cloned().collect();
-        let auth_keys: std::collections::HashSet<u64> =
-            auth_items.iter().map(|(k, _)| *k).collect();
-        let entry_bytes = B::entry_wire_bytes() as u64;
-        for (key, entry) in &auth_items {
-            if lag_by_key.get(key) != Some(entry) {
-                self.sets[shard][lagging].with_index_mut(|ix| ix.apply_entry(entry));
-                report.transferred += 1;
-                report.bytes_moved += entry_bytes;
-            }
-        }
-        for (key, _) in &lag_items {
-            if !auth_keys.contains(key) {
-                self.sets[shard][lagging].with_index_mut(|ix| ix.remove_by_repair_key(*key));
-                report.removed += 1;
-                report.bytes_moved += KEY_WIRE_BYTES;
-            }
-        }
     }
 
     /// Repairs a lagging replica and, if reconciliation converged, revives
@@ -1435,6 +1536,321 @@ mod tests {
                 assert_eq!(st.repl_forwards, 0);
                 assert_eq!(st.repl_fenced, 0);
                 assert_eq!(cluster.replicas(), 1);
+            });
+        }
+
+        /// Every member's root digest equals the current primary's.
+        fn live_replicas_agree<B: IndexBackend + RangeDigest>(cluster: &ClusterServer<B>) {
+            for shard in 0..cluster.shards() {
+                let ctl = cluster.ctl(shard);
+                let want = cluster
+                    .replica(shard, ctl.primary())
+                    .with_index(|ix| ix.digest_range(0, u64::MAX));
+                for r in (0..cluster.replicas()).filter(|&r| ctl.is_alive(r)) {
+                    let got = cluster
+                        .replica(shard, r)
+                        .with_index(|ix| ix.digest_range(0, u64::MAX));
+                    assert_eq!(got, want, "shard {shard} replica {r} diverged");
+                }
+            }
+        }
+
+        /// The deposed primary's forward reached backup 1 but not backup
+        /// 2, and the writer's reissue hits backup 1 — the new primary —
+        /// in its applied table. The promotion itself must bring backup 2
+        /// up to backup 1, or the two survivors differ for good (heal only
+        /// repairs the deposed member).
+        #[test]
+        fn promotion_resyncs_every_survivor_to_the_new_primary() {
+            use catfish_rdma::{FaultConfig, FaultPlan};
+            use catfish_simnet::{sleep, SimDuration, SimTime};
+            let sim = Sim::new();
+            sim.run_until(async {
+                let (net, cluster) = build_kv(1, 3, 100);
+                // Backup 2 drops every frame for the first 150 µs, so the
+                // first forward reaches backup 1 only and the primary's
+                // pump to backup 2 waits out its 1 s timeout.
+                let cut = FaultConfig {
+                    partition_window: Some((SimTime::ZERO, SimDuration::from_micros(150))),
+                    ..FaultConfig::off()
+                };
+                cluster
+                    .replica(0, 2)
+                    .endpoint()
+                    .set_fault_plan(Some(FaultPlan::new(cut, 1)));
+                // A writer with a tight budget gives up on the stalled
+                // primary, deposes it and reissues the same op id.
+                let mut c = KvClusterClient::connect(
+                    &cluster,
+                    &net,
+                    &infiniband_100g(),
+                    ClientConfig {
+                        mode: AccessMode::FastMessaging,
+                        request_timeout: SimDuration::from_micros(100),
+                        max_retries: 1,
+                        ..ClientConfig::default()
+                    },
+                    5,
+                );
+                assert_eq!(c.put(3_000_000, 1).await, None);
+                let ctl = cluster.ctl(0);
+                assert_eq!((ctl.epoch(), ctl.primary()), (1, 1), "primary not deposed");
+                assert_eq!(cluster.replica(0, 1).stats().repl_dups, 1, "no reissue hit");
+                // Let the old primary's pump retransmit and be fenced.
+                sleep(SimDuration::from_secs(3)).await;
+                for r in [1, 2] {
+                    let got = cluster.replica(0, r).with_index(|ix| ix.get(3_000_000));
+                    assert_eq!(got, Some(1), "replica {r} misses the acked put");
+                }
+                live_replicas_agree(&cluster);
+            });
+        }
+
+        /// A stalled writer's reissue must not replay its old mutation over
+        /// a later write of the same key: the deposed primary applied
+        /// put(k, 1) and reached backup 1 only; after the promotion a
+        /// second writer puts (k, 2) through backup 1, and only then does
+        /// the first writer reissue put(k, 1), which backup 1 answers from
+        /// its applied table. Backup 2 must end with k = 2 like backup 1.
+        #[test]
+        fn reissue_after_a_later_same_key_write_leaves_survivors_identical() {
+            use catfish_rdma::{FaultConfig, FaultPlan};
+            use catfish_simnet::{sleep, SimDuration, SimTime};
+            let sim = Sim::new();
+            sim.run_until(async {
+                let (net, cluster) = build_kv(1, 3, 100);
+                // Backup 2 is cut off for 150 µs: put(k, 1) reaches backup 1
+                // only, and the primary stalls on backup 2's ack.
+                let cut = FaultConfig {
+                    partition_window: Some((SimTime::ZERO, SimDuration::from_micros(150))),
+                    ..FaultConfig::off()
+                };
+                cluster
+                    .replica(0, 2)
+                    .endpoint()
+                    .set_fault_plan(Some(FaultPlan::new(cut, 1)));
+                let key = 3_100_000;
+                let mut first = KvClusterClient::connect(
+                    &cluster,
+                    &net,
+                    &infiniband_100g(),
+                    ClientConfig {
+                        mode: AccessMode::FastMessaging,
+                        request_timeout: SimDuration::from_micros(200),
+                        max_retries: 1,
+                        ..ClientConfig::default()
+                    },
+                    5,
+                );
+                let stalled = spawn(async move { first.put(key, 1).await });
+                // The membership service deposes the stalled primary, then
+                // a second writer overwrites the key through the new one —
+                // both before the first writer's budget runs out.
+                sleep(SimDuration::from_micros(100)).await;
+                assert!(cluster.ctl(0).suspect(0, 0));
+                sleep(SimDuration::from_micros(60)).await;
+                let mut second = connect(&net, &cluster, 6);
+                assert_eq!(second.put(key, 2).await, Some(1));
+                let reissues_before = cluster.replica(0, 1).stats().repl_dups;
+                assert_eq!(stalled.await, None);
+                assert_eq!(
+                    cluster.replica(0, 1).stats().repl_dups,
+                    reissues_before + 1,
+                    "the first writer's reissue did not hit the applied table"
+                );
+                // Let the old primary's pump retransmit and be fenced.
+                sleep(SimDuration::from_secs(3)).await;
+                for r in [1, 2] {
+                    let got = cluster.replica(0, r).with_index(|ix| ix.get(key));
+                    assert_eq!(got, Some(2), "replica {r} replayed the stale put");
+                }
+                live_replicas_agree(&cluster);
+            });
+        }
+
+        /// The deposed primary's forward reached backup 2 but not backup 1,
+        /// which is promoted: the promotion re-syncs backup 2 to backup 1,
+        /// dropping the put. When backup 1 fences the old primary's
+        /// retransmitted forward, the old primary must answer the writer
+        /// fenced, not acked, so the writer reissues it to backup 1.
+        #[test]
+        fn deposed_primary_answers_a_fenced_forward_as_fenced() {
+            use catfish_rdma::{FaultConfig, FaultPlan};
+            use catfish_simnet::{sleep, SimDuration, SimTime};
+            let sim = Sim::new();
+            sim.run_until(async {
+                let (net, cluster) = build_kv(1, 3, 100);
+                let cut = FaultConfig {
+                    partition_window: Some((SimTime::ZERO, SimDuration::from_micros(150))),
+                    ..FaultConfig::off()
+                };
+                cluster
+                    .replica(0, 1)
+                    .endpoint()
+                    .set_fault_plan(Some(FaultPlan::new(cut, 1)));
+                let key = 3_200_000;
+                let mut c = KvClusterClient::connect(
+                    &cluster,
+                    &net,
+                    &infiniband_100g(),
+                    ClientConfig {
+                        mode: AccessMode::FastMessaging,
+                        request_timeout: SimDuration::from_secs(5),
+                        ..ClientConfig::default()
+                    },
+                    5,
+                );
+                let write = spawn(async move { c.put(key, 1).await });
+                sleep(SimDuration::from_micros(100)).await;
+                assert!(cluster.ctl(0).suspect(0, 0));
+                assert_eq!(write.await, None);
+                assert!(
+                    cluster.replica(0, 1).stats().repl_fenced > 0,
+                    "backup 1 never fenced the old primary's forward"
+                );
+                for r in [1, 2] {
+                    let got = cluster.replica(0, r).with_index(|ix| ix.get(key));
+                    assert_eq!(got, Some(1), "replica {r} misses the acked put");
+                }
+                live_replicas_agree(&cluster);
+            });
+        }
+
+        /// Same-key puts from concurrent writers must reach every backup in
+        /// the order the primary applied them: forwarding lanes stripe by
+        /// key, so one key's mutations never race each other on two lanes.
+        #[test]
+        fn concurrent_same_key_puts_leave_replicas_identical() {
+            let sim = Sim::new();
+            sim.run_until(async {
+                let (net, cluster) = build_kv(1, 3, 200);
+                let mut handles = Vec::new();
+                for c in 0..6u64 {
+                    let mut client = connect(&net, &cluster, 100 + c);
+                    handles.push(spawn(async move {
+                        for i in 0..60u64 {
+                            let key = 4_000_000 + i % 3;
+                            client.put(key, c * 1_000 + i).await;
+                        }
+                    }));
+                }
+                for h in handles {
+                    h.await;
+                }
+                assert_eq!(cluster.stats().repl_forwards, 360);
+                live_replicas_agree(&cluster);
+            });
+        }
+
+        /// The R-tree analogue: one writer inserts an id while another
+        /// deletes it, so the two race through the primary; every backup
+        /// must apply them in the primary's order and end with its entries.
+        #[test]
+        fn concurrent_insert_delete_of_one_id_leave_replicas_identical() {
+            use crate::client::CatfishClusterClient;
+            use crate::server::CatfishCluster;
+            use catfish_rtree::RTreeConfig;
+            let sim = Sim::new();
+            sim.run_until(async {
+                let net = Network::new();
+                let profile = infiniband_100g();
+                let cluster = CatfishCluster::build_replicated(
+                    &net,
+                    &profile,
+                    ServerConfig {
+                        cores: 2,
+                        mode: ServerMode::EventDriven,
+                        ..ServerConfig::default()
+                    },
+                    RTreeConfig::with_max_entries(16),
+                    catfish_workload::uniform_rects(500, 1e-2, 3),
+                    1,
+                    3,
+                    &RkeyAllocator::new(),
+                );
+                let mut handles = Vec::new();
+                for c in 0..6u64 {
+                    let mut client = CatfishClusterClient::connect(
+                        &cluster,
+                        &net,
+                        &profile,
+                        ClientConfig {
+                            mode: AccessMode::FastMessaging,
+                            ..ClientConfig::default()
+                        },
+                        200 + c,
+                    );
+                    handles.push(spawn(async move {
+                        // Pairs of writers race on one fresh id per
+                        // round: which of the insert and the delete lands
+                        // first decides whether the id survives.
+                        for i in 0..60u64 {
+                            let id = 5_000_000 + (c / 2) * 1_000 + i;
+                            let x = (i % 8) as f64 / 10.0;
+                            let rect = Rect::new(x, 0.5, x + 0.01, 0.51);
+                            if c % 2 == 0 {
+                                client.insert(rect, id).await;
+                            } else {
+                                client.delete(rect, id).await;
+                            }
+                        }
+                    }));
+                }
+                for h in handles {
+                    h.await;
+                }
+                assert_eq!(cluster.stats().repl_forwards, 360);
+                live_replicas_agree(&cluster);
+            });
+        }
+
+        /// Loss on a backup's link drops acks of batched forwarding legs:
+        /// the pump retransmits only the pending legs under their original
+        /// link seqs, and the backup's dedup window answers them, so every
+        /// acked put is applied exactly once on every backup.
+        #[test]
+        fn lossy_backup_link_applies_each_batched_forward_once() {
+            use catfish_rdma::{FaultConfig, FaultPlan};
+            let sim = Sim::new();
+            sim.run_until(async {
+                let (net, cluster) = build_kv(1, 3, 200);
+                let lossy = FaultConfig {
+                    drop_write: 0.2,
+                    ..FaultConfig::off()
+                };
+                cluster
+                    .replica(0, 2)
+                    .endpoint()
+                    .set_fault_plan(Some(FaultPlan::new(lossy, 9)));
+                let mut handles = Vec::new();
+                for c in 0..8u64 {
+                    let mut client = connect(&net, &cluster, 300 + c);
+                    handles.push(spawn(async move {
+                        for i in 0..25u64 {
+                            let key = 6_000_000 + c * 100 + i;
+                            assert_eq!(client.put(key, i).await, None, "put {key} not acked");
+                        }
+                    }));
+                }
+                for h in handles {
+                    h.await;
+                }
+                let primary = cluster.replica(0, 0).stats();
+                assert_eq!(primary.repl_forwards, 200, "one forward per mutation");
+                for r in [1, 2] {
+                    let st = cluster.replica(0, r).stats();
+                    assert_eq!(
+                        st.writes, 200,
+                        "replica {r} applied a forward twice or never"
+                    );
+                    assert!(st.batches_sent > 0, "replica {r} saw no batched legs");
+                }
+                let lossy_backup = cluster.replica(0, 2).stats();
+                assert!(
+                    lossy_backup.dup_drops > 0,
+                    "no retransmitted leg reached the backup"
+                );
+                live_replicas_agree(&cluster);
             });
         }
 

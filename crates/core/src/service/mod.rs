@@ -222,6 +222,12 @@ pub trait WireCodec: Sized + 'static {
     fn take_origin(msg: Self::Message) -> (Option<ReplEnvelope>, Self::Message) {
         (None, msg)
     }
+
+    /// The identity a bare mutation writes: the KV key, the R-tree
+    /// payload id. `None` for reads and non-requests. Replication stripes
+    /// forwarding lanes by this key, so two mutations of the same entry
+    /// always reach a backup in the order the primary applied them.
+    fn mutation_key(msg: &Self::Message) -> Option<u64>;
 }
 
 /// A received message, classified for the generic receive loops.

@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use catfish_rdma::tcp::{TcpConn, TcpEndpoint};
 use catfish_rdma::{DepositOutcome, Endpoint, Mailbox, MailboxLayout, MemoryRegion, NetProfile};
@@ -90,9 +90,15 @@ impl DedupWindow {
 
 /// Primary-side mutation fan-out hook, installed by the cluster builder:
 /// `(mutation, envelope, trace parent)` → a future that resolves once
-/// every live backup has acknowledged the forwarded mutation.
-pub type ForwardFn<B> =
-    dyn Fn(WireMessage<B>, ReplEnvelope, Option<(u64, u64)>) -> Pin<Box<dyn Future<Output = ()>>>;
+/// every live backup has answered the forwarded mutation, to whether any
+/// of them fenced it (this primary was deposed meanwhile). The call
+/// itself enqueues the mutation on the backups' forwarding lanes, so the
+/// caller fixes the forwarding order by when it calls, not when it awaits.
+pub type ForwardFn<B> = dyn Fn(WireMessage<B>, ReplEnvelope, Option<(u64, u64)>) -> ForwardAcks;
+
+/// The wait for a forward's acks (see [`ForwardFn`]): `true` when a
+/// backup fenced it.
+pub type ForwardAcks = Pin<Box<dyn Future<Output = bool>>>;
 
 /// Replication role of one server — a member of a k-way replica set, or
 /// (the default) a standalone server with every field inert.
@@ -156,6 +162,16 @@ struct ServerInner<B: IndexBackend> {
 /// workers share state.
 pub struct ServiceServer<B: IndexBackend> {
     inner: Rc<ServerInner<B>>,
+}
+
+/// A non-owning [`ServiceServer`] handle (see [`ServiceServer::downgrade`]).
+pub(crate) struct WeakServer<B: IndexBackend>(Weak<ServerInner<B>>);
+
+impl<B: IndexBackend> WeakServer<B> {
+    /// The server, unless it was dropped.
+    pub(crate) fn upgrade(&self) -> Option<ServiceServer<B>> {
+        self.0.upgrade().map(|inner| ServiceServer { inner })
+    }
 }
 
 impl<B: IndexBackend> Clone for ServiceServer<B> {
@@ -292,14 +308,30 @@ impl<B: IndexBackend> ServiceServer<B> {
     /// sits unused.
     pub fn set_forwarder(
         &self,
-        f: impl Fn(
-                WireMessage<B>,
-                ReplEnvelope,
-                Option<(u64, u64)>,
-            ) -> Pin<Box<dyn Future<Output = ()>>>
-            + 'static,
+        f: impl Fn(WireMessage<B>, ReplEnvelope, Option<(u64, u64)>) -> ForwardAcks + 'static,
     ) {
         self.inner.repl.borrow_mut().forwarder = Some(Rc::new(f));
+    }
+
+    /// Makes this member's applied-operation table a copy of `from`'s.
+    /// The table is replica state like the index: a member brought up to
+    /// an authority must answer reissues exactly as the authority would.
+    /// Returns how many records differed.
+    pub(crate) fn adopt_applied(&self, from: &ServiceServer<B>) -> u64 {
+        let src = from.inner.repl.borrow().applied.clone();
+        let mut repl = self.inner.repl.borrow_mut();
+        let dropped = repl.applied.keys().filter(|k| !src.contains_key(k)).count();
+        let differ = src
+            .iter()
+            .filter(|&(k, v)| repl.applied.get(k) != Some(v))
+            .count();
+        repl.applied = src;
+        (dropped + differ) as u64
+    }
+
+    /// A handle that does not keep this server alive.
+    pub(crate) fn downgrade(&self) -> WeakServer<B> {
+        WeakServer(Rc::downgrade(&self.inner))
     }
 
     /// Aggregate counters, folding in the request-ring integrity counters
@@ -781,7 +813,7 @@ impl<B: IndexBackend> ServiceServer<B> {
                             continue;
                         }
                         // A fresh enveloped client mutation on the primary
-                        // fans out to the backups after local execution.
+                        // fans out to the backups once applied locally.
                         if !env.forwarded() {
                             forward_copy = Some(m.clone());
                         }
@@ -798,6 +830,12 @@ impl<B: IndexBackend> ServiceServer<B> {
             else {
                 continue;
             };
+            // Enqueue the forward at apply time, with no await since the
+            // execution: each lane then carries its keys in the order this
+            // primary applied them.
+            let acks = forward_copy
+                .zip(env.as_ref())
+                .and_then(|(m, env)| self.start_forward(m, env, tctx));
             if let Some(env) = &env {
                 // Respond on THIS connection's sequence, not the origin
                 // client's (a forwarded leg echoes the pump's link seq).
@@ -837,42 +875,57 @@ impl<B: IndexBackend> ServiceServer<B> {
                     OpKind::Remove => st.removes += 1,
                 }
             }
-            // Primary-side fan-out: ship the accepted mutation to every
-            // live backup and wait for their acks before this END is
-            // released — synchronous k-way replication. The hook and the
-            // outgoing envelope are resolved first so no RefCell borrow is
-            // held across the forwarding await.
-            if let Some(inner_msg) = forward_copy {
-                let hook = {
-                    let repl = self.inner.repl.borrow();
-                    let ctl = repl.ctl.as_ref().expect("forward implies replication");
-                    repl.forwarder.clone().map(|f| {
-                        let env = env.as_ref().expect("forward implies envelope");
-                        (
-                            f,
-                            ReplEnvelope {
-                                link_seq: 0, // bound per backup link at send time
-                                origin: env.origin,
-                                op_id: env.op_id,
-                                epoch: ctl.epoch(),
-                                flags: ReplEnvelope::FORWARDED,
-                            },
-                        )
-                    })
-                };
-                if let Some((forward, env_out)) = hook {
-                    let t0 = now();
-                    let parent = tctx.map(|c| (c.trace_id, c.parent_span));
-                    forward(inner_msg, env_out, parent).await;
-                    let mut st = self.inner.stats.borrow_mut();
-                    st.repl_forwards += 1;
-                    st.repl_lag_ns += (now() - t0).as_nanos();
+            // Synchronous k-way replication: this END is released only
+            // once every live backup acked the forward. The wait past the
+            // local charge is the replication lag. A backup fencing the
+            // forward means this primary was deposed meanwhile, and the
+            // promotion re-synced the survivors to its successor: the
+            // writer is told so and reissues there.
+            if let Some(acks) = acks {
+                let t0 = now();
+                let fenced = acks.await;
+                let mut st = self.inner.stats.borrow_mut();
+                st.repl_forwards += 1;
+                st.repl_lag_ns += (now() - t0).as_nanos();
+                if fenced {
+                    exec.status = REPL_FENCED;
+                    if let (Some(dedup), Some((seq, _))) = (dedup, meta) {
+                        dedup.borrow_mut().record(seq, REPL_FENCED);
+                    }
                 }
             }
             execs.push(exec);
         }
         trace.end(Phase::IndexExec, exec_span);
         execs
+    }
+
+    /// Hands an applied mutation to the fan-out hook, which enqueues it on
+    /// every live backup's forwarding lane before returning; the returned
+    /// future resolves once they all acked. `None` when no hook is
+    /// installed. The outgoing envelope is built here, so no `RefCell`
+    /// borrow is held across the caller's await.
+    fn start_forward(
+        &self,
+        m: WireMessage<B>,
+        env: &ReplEnvelope,
+        tctx: Option<crate::obs::TraceContext>,
+    ) -> Option<ForwardAcks> {
+        let repl = self.inner.repl.borrow();
+        let ctl = repl.ctl.as_ref().expect("forward implies replication");
+        let forward = repl.forwarder.as_ref()?;
+        let env_out = ReplEnvelope {
+            link_seq: 0, // bound per lane at send time
+            origin: env.origin,
+            op_id: env.op_id,
+            epoch: ctl.epoch(),
+            flags: ReplEnvelope::FORWARDED,
+        };
+        Some(forward(
+            m,
+            env_out,
+            tctx.map(|c| (c.trace_id, c.parent_span)),
+        ))
     }
 
     /// Sends every response frame of `execs`, coalescing up to `max_batch`
