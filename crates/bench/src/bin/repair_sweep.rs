@@ -107,9 +107,7 @@ struct ChaosResult {
 /// Root digest of one replica's index: `(xor_fingerprint, entry_count)`
 /// over the full repair-key space.
 fn root_digest(cluster: &CatfishCluster, shard: usize, r: usize) -> (u64, u64) {
-    cluster
-        .replica(shard, r)
-        .with_index(|ix| ix.digest_range(0, u64::MAX))
+    cluster.replica(shard, r).with_index(|ix| ix.root_digest())
 }
 
 fn run_chaos_cell(
@@ -415,20 +413,15 @@ fn run_repair_cell(label: &str, n: usize, d: usize) -> RepairCell {
         // Diverge the backup: drop `d` entries spread evenly across the
         // key space — the scattered case, where a contiguous-range
         // shortcut would not help the walk.
-        let mut keys: Vec<u64> = cluster
-            .replica(0, 1)
-            .with_index(|ix| ix.items_in_range(0, u64::MAX))
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        keys.sort_unstable();
-        let stride = (keys.len() / d.max(1)).max(1);
-        let victims: Vec<u64> = keys.iter().step_by(stride).take(d).copied().collect();
+        let mut entries = cluster.replica(0, 1).with_index(|ix| ix.repair_entries());
+        entries.sort_unstable_by_key(|&(key, _, _)| key);
+        let stride = (entries.len() / d.max(1)).max(1);
+        let victims: Vec<_> = entries.iter().step_by(stride).take(d).collect();
         assert_eq!(victims.len(), d, "dataset too small for divergence {d}");
-        for k in &victims {
-            cluster.replica(0, 1).with_index_mut(|ix| {
-                ix.remove_by_repair_key(*k);
-            });
+        for (_, _, entry) in victims {
+            cluster
+                .replica(0, 1)
+                .with_index_mut(|ix| ix.remove_entry(entry));
         }
         cluster.repair_replica(0, 1)
     });

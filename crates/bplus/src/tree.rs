@@ -33,6 +33,81 @@ impl<S: BpStore> BpTree<S> {
         BpTree { store, config }
     }
 
+    /// Builds a tree over the empty `store` holding `items`, bottom-up:
+    /// each node is written once and the metadata once.
+    ///
+    /// `items` are sorted stably by key, and of equal keys the last value
+    /// wins, as with repeated [`BpTree::insert`]. The result is the very
+    /// tree that inserting the sorted pairs one by one builds: sorted
+    /// inserts always split the rightmost node and leave its left half
+    /// behind, so every leaf but the last holds `(max_keys + 1) / 2` keys
+    /// and every internal node but the last of its level holds
+    /// `(max_keys + 1) / 2 + 1` children, each separator being the
+    /// smallest key of the subtree to its right.
+    pub fn bulk_load(mut store: S, config: BpConfig, mut items: Vec<(u64, u64)>) -> Self {
+        items.sort_by_key(|&(k, _)| k);
+        items.dedup_by(|later, kept| {
+            let dup = later.0 == kept.0;
+            if dup {
+                kept.1 = later.1;
+            }
+            dup
+        });
+        let mut meta = TreeMeta {
+            len: items.len() as u64,
+            ..TreeMeta::default()
+        };
+        if items.is_empty() {
+            store.set_meta(meta);
+            return BpTree { store, config };
+        }
+        let half = config.max_keys.div_ceil(2);
+        // Leaves, linked left to right: allocate every id first so each
+        // leaf is written once, `next` included.
+        let leaf_sizes = pack_sizes(items.len(), config.max_keys, half);
+        let leaf_ids: Vec<NodeId> = leaf_sizes.iter().map(|_| store.alloc()).collect();
+        // `(smallest key, node)` of each node on the level being built.
+        let mut level: Vec<(u64, NodeId)> = Vec::with_capacity(leaf_ids.len());
+        let mut rest = items.as_slice();
+        for (i, &n) in leaf_sizes.iter().enumerate() {
+            let (pairs, tail) = rest.split_at(n);
+            rest = tail;
+            let leaf = BpNode {
+                level: 0,
+                keys: pairs.iter().map(|&(k, _)| k).collect(),
+                refs: BpRefs::Values(pairs.iter().map(|&(_, v)| v).collect()),
+                next: leaf_ids.get(i + 1).copied(),
+            };
+            store.write(leaf_ids[i], &leaf);
+            level.push((pairs[0].0, leaf_ids[i]));
+        }
+        let mut height = 1;
+        while level.len() > 1 {
+            let sizes = pack_sizes(level.len(), config.max_keys + 1, half + 1);
+            let mut upper = Vec::with_capacity(sizes.len());
+            let mut rest = level.as_slice();
+            for n in sizes {
+                let (group, tail) = rest.split_at(n);
+                rest = tail;
+                let node = BpNode {
+                    level: height,
+                    keys: group[1..].iter().map(|&(k, _)| k).collect(),
+                    refs: BpRefs::Children(group.iter().map(|&(_, id)| id).collect()),
+                    next: None,
+                };
+                let id = store.alloc();
+                store.write(id, &node);
+                upper.push((group[0].0, id));
+            }
+            level = upper;
+            height += 1;
+        }
+        meta.root = Some(level[0].1);
+        meta.height = height;
+        store.set_meta(meta);
+        BpTree { store, config }
+    }
+
     /// Opens a store that already holds a tree.
     pub fn open(store: S, config: BpConfig) -> Self {
         BpTree { store, config }
@@ -283,22 +358,13 @@ impl<S: BpStore> BpTree<S> {
         loop {
             let node = self.store.read(id);
             let Some((pid, idx)) = path.pop() else {
-                // `id` is the root.
-                let mut meta = self.store.meta();
-                if node.is_leaf() {
-                    if node.keys.is_empty() {
-                        self.store.free(id);
-                        meta.root = None;
-                        meta.height = 0;
-                        meta.structure_version += 1;
-                        self.store.set_meta(meta);
-                    }
-                } else if node.keys.is_empty() {
-                    // Internal root with a single child: collapse.
-                    let child = node.children()[0];
+                // `id` is the root; an internal root never underflows here
+                // (a merge collapses it below).
+                if node.is_leaf() && node.keys.is_empty() {
                     self.store.free(id);
-                    meta.root = Some(child);
-                    meta.height -= 1;
+                    let mut meta = self.store.meta();
+                    meta.root = None;
+                    meta.height = 0;
                     meta.structure_version += 1;
                     self.store.set_meta(meta);
                 }
@@ -385,6 +451,19 @@ impl<S: BpStore> BpTree<S> {
             parent.keys.remove(li);
             parent.children_mut().remove(ri);
             self.store.write(left_id, &left);
+            if path.is_empty() && parent.keys.is_empty() {
+                // The root lost its last separator: the merged node takes
+                // its place. The root is not written first — an internal
+                // node without keys has no chunk encoding.
+                self.store.free(right_id);
+                self.store.free(pid);
+                let mut meta = self.store.meta();
+                meta.root = Some(left_id);
+                meta.height -= 1;
+                meta.structure_version += 1;
+                self.store.set_meta(meta);
+                return;
+            }
             self.store.write(pid, &parent);
             self.store.free(right_id);
             id = pid;
@@ -508,6 +587,20 @@ impl<S: BpStore> BpTree<S> {
     }
 }
 
+/// Node sizes for one bulk-loaded level of `total` slots: nodes of
+/// `split_left` while more than `max` slots remain (the left half a split
+/// leaves), then one node with the rest.
+fn pack_sizes(total: usize, max: usize, split_left: usize) -> Vec<usize> {
+    let mut sizes = Vec::with_capacity(total / split_left + 1);
+    let mut rest = total;
+    while rest > max {
+        sizes.push(split_left);
+        rest -= split_left;
+    }
+    sizes.push(rest);
+    sizes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +671,27 @@ mod tests {
                 .unwrap_or_else(|e| panic!("after remove #{i}: {e}"));
         }
         assert!(t.is_empty());
+        assert_eq!(t.height(), 0);
+    }
+
+    /// Removing every key collapses the root level by level on a chunk
+    /// store, which cannot hold an internal node without keys.
+    #[test]
+    fn chunk_store_tree_shrinks_to_empty() {
+        use crate::node::BpLayout;
+        use crate::store::BpChunkStore;
+        let layout = BpLayout::for_max_keys(4);
+        let store = BpChunkStore::new(vec![0u8; layout.arena_bytes(256)], layout);
+        let mut t = BpTree::new(store, BpConfig::with_max_keys(4));
+        for k in 0..100u64 {
+            t.insert(k, k);
+        }
+        assert!(t.height() >= 3);
+        for k in 0..100u64 {
+            assert_eq!(t.remove(k), Some(k));
+            t.check_invariants()
+                .unwrap_or_else(|e| panic!("after remove {k}: {e}"));
+        }
         assert_eq!(t.height(), 0);
     }
 

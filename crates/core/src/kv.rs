@@ -579,11 +579,7 @@ impl IndexBackend for KvBackend {
     }
 
     fn load(mem: MrMemory, layout: BpLayout, cfg: BpConfig, items: Vec<(u64, u64)>) -> Self {
-        let mut tree = BpTree::new(BpChunkStore::new(mem, layout), cfg);
-        for (k, v) in items {
-            tree.insert(k, v);
-        }
-        tree
+        BpTree::bulk_load(BpChunkStore::new(mem, layout), cfg, items)
     }
 
     fn set_torn_window(&self, window: SimDuration) {
@@ -677,41 +673,21 @@ fn kv_fingerprint(key: u64, value: u64) -> u64 {
 impl RangeDigest for KvBackend {
     type Entry = (u64, u64);
 
-    fn digest_range(&self, lo: u64, hi: u64) -> (u64, u64) {
-        let mut xor = 0u64;
-        let mut count = 0u64;
-        for (k, v) in self.range(0, u64::MAX) {
-            if (lo..=hi).contains(&mix64(k)) {
-                xor ^= kv_fingerprint(k, v);
-                count += 1;
-            }
-        }
-        (xor, count)
-    }
-
-    fn items_in_range(&self, lo: u64, hi: u64) -> Vec<(u64, (u64, u64))> {
+    fn repair_entries(&self) -> Vec<(u64, u64, (u64, u64))> {
         self.range(0, u64::MAX)
             .into_iter()
-            .filter(|&(k, _)| (lo..=hi).contains(&mix64(k)))
-            .map(|(k, v)| (mix64(k), (k, v)))
+            .map(|(k, v)| (mix64(k), kv_fingerprint(k, v), (k, v)))
             .collect()
     }
 
-    fn apply_entry(&mut self, entry: &(u64, u64)) {
+    /// `mix64` is a bijection, so the one stale pair holds the same key
+    /// and the insert overwrites it.
+    fn apply_entry(&mut self, entry: &(u64, u64), _stale: &[(u64, u64)]) {
         self.insert(entry.0, entry.1);
     }
 
-    fn remove_by_repair_key(&mut self, key: u64) {
-        // mix64 is a bijection, so at most one application key maps here.
-        let stale: Vec<u64> = self
-            .range(0, u64::MAX)
-            .into_iter()
-            .map(|(k, _)| k)
-            .filter(|&k| mix64(k) == key)
-            .collect();
-        for k in stale {
-            self.remove(k);
-        }
+    fn remove_entry(&mut self, entry: &(u64, u64)) {
+        self.remove(entry.0);
     }
 
     fn entry_wire_bytes() -> usize {
@@ -1008,6 +984,29 @@ mod tests {
             }
             assert_eq!(off.stats().offloaded_reads, 300);
             assert_eq!(fast.stats().fast_reads, 300);
+        });
+    }
+
+    /// The server's bulk-loaded arena read with one-sided reads only: a
+    /// full offloaded scan walks every leaf chunk and the gets descend
+    /// every level, so each chunk and the metadata decode and validate on
+    /// the client side, and the server's CPU serves no read.
+    #[test]
+    fn offloaded_reads_cover_a_bulk_loaded_arena() {
+        let sim = Sim::new();
+        sim.run_until(async {
+            let pairs: Vec<(u64, u64)> = (0..4_000u64).map(|k| (k * 3, k)).collect();
+            let (net, server) = build(pairs.clone());
+            assert_eq!(server.with_index(|t| t.height()), 3);
+            server.with_index(|t| t.check_invariants()).unwrap();
+            let mut c = attach(&net, &server, AccessMode::Offloading, 6);
+            assert_eq!(c.range_offloaded(0, u64::MAX).await, pairs);
+            for &(k, v) in pairs.iter().step_by(13) {
+                assert_eq!(c.get(k).await, Some(v), "key {k}");
+                assert_eq!(c.get(k + 1).await, None, "key {}", k + 1);
+            }
+            assert_eq!(c.stats().offloaded_reads, 1 + 2 * 308);
+            assert_eq!(server.stats().reads, 0);
         });
     }
 

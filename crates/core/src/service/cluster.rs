@@ -25,7 +25,6 @@
 //! adaptivity, generalized to scale-out.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use catfish_rdma::{Endpoint, NetProfile, RdmaProfile};
@@ -248,7 +247,7 @@ impl std::fmt::Debug for PromoteHook {
 /// exactly when the primary role moves, and every mutation carries the
 /// epoch its writer believed in, so a deposed primary's in-flight writes
 /// are fenced by whichever replica they reach. A promotion also runs the
-/// set's state transfer ([`ReplicaCtl::on_promote`]), so the survivors
+/// set's state transfer (`ReplicaCtl::on_promote`), so the survivors
 /// agree before the new epoch applies its first write.
 #[derive(Debug, Clone)]
 pub struct ReplicaCtl {
@@ -764,6 +763,48 @@ const KEY_WIRE_BYTES: u64 = 8;
 /// END status.
 const APPLIED_WIRE_BYTES: u64 = 8 + 8 + 4;
 
+/// One member's index as the repair walk sees it: every entry sorted by
+/// repair key (equal keys keep their listing order), with a prefix XOR of
+/// the fingerprints, so a range digest is two binary searches and a leaf
+/// exchange a subslice — one index scan per member per walk.
+#[derive(Debug)]
+struct RepairSnapshot<E> {
+    entries: Vec<(u64, u64, E)>,
+    /// `prefix[i]` is the XOR of the first `i` fingerprints.
+    prefix: Vec<u64>,
+}
+
+impl<E> RepairSnapshot<E> {
+    fn of<B: RangeDigest<Entry = E>>(index: &B) -> Self {
+        let mut entries = index.repair_entries();
+        entries.sort_by_key(|&(key, _, _)| key);
+        let mut prefix = Vec::with_capacity(entries.len() + 1);
+        prefix.push(0);
+        for &(_, fp, _) in &entries {
+            prefix.push(prefix[prefix.len() - 1] ^ fp);
+        }
+        RepairSnapshot { entries, prefix }
+    }
+
+    /// Index bounds of the entries with repair keys in `[lo, hi]`.
+    fn bounds(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
+        let start = self.entries.partition_point(|e| e.0 < lo);
+        let end = self.entries.partition_point(|e| e.0 <= hi);
+        start..end
+    }
+
+    /// `(xor_of_fingerprints, entry_count)` over repair keys in `[lo, hi]`.
+    fn digest(&self, lo: u64, hi: u64) -> (u64, u64) {
+        let r = self.bounds(lo, hi);
+        (self.prefix[r.end] ^ self.prefix[r.start], r.len() as u64)
+    }
+
+    /// The entries with repair keys in `[lo, hi]`.
+    fn range(&self, lo: u64, hi: u64) -> &[(u64, u64, E)] {
+        &self.entries[self.bounds(lo, hi)]
+    }
+}
+
 /// Brings `lag` up to `auth` by recursive hash-range bisection (the HRTree
 /// scheme): compare the `(xor-fingerprint, count)` digest of a key range,
 /// skip it when equal, bisect when not, and at leaf granularity transfer
@@ -773,6 +814,13 @@ const APPLIED_WIRE_BYTES: u64 = 8 + 8 + 4;
 /// the index size. The applied-operation table is copied along with the
 /// index, so `lag` then answers reissues exactly as `auth` would.
 ///
+/// Digests and leaf exchanges read one [`RepairSnapshot`] per member,
+/// taken at the start. The lagging snapshot goes stale only inside the
+/// leaf ranges already reconciled, and those are never compared again:
+/// the ranges of a round are disjoint, later rounds bisect only
+/// mismatched non-leaf ranges, and a leaf exchange touches no entry
+/// outside its own range. The final root digests read the live indexes.
+///
 /// Synchronous in simulation time (digests are in-memory reads): no write
 /// interleaves. Byte and round counts model the wire cost.
 fn reconcile<B: IndexBackend + RangeDigest>(
@@ -780,7 +828,9 @@ fn reconcile<B: IndexBackend + RangeDigest>(
     lag: &ServiceServer<B>,
 ) -> RepairReport {
     let mut report = RepairReport::default();
-    let (_, total) = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
+    let auth_snap = auth.with_index(RepairSnapshot::of);
+    let lag_snap = lag.with_index(RepairSnapshot::of);
+    let (_, total) = auth_snap.digest(0, u64::MAX);
     report.full_resync_bytes = total * B::entry_wire_bytes() as u64;
 
     let mut frontier: Vec<(u64, u64)> = vec![(0, u64::MAX)];
@@ -790,13 +840,13 @@ fn reconcile<B: IndexBackend + RangeDigest>(
         for (lo, hi) in frontier {
             report.ranges_compared += 1;
             report.bytes_moved += DIGEST_WIRE_BYTES;
-            let (a_xor, a_count) = auth.with_index(|ix| ix.digest_range(lo, hi));
-            let (l_xor, l_count) = lag.with_index(|ix| ix.digest_range(lo, hi));
-            if a_xor == l_xor && a_count == l_count {
+            let (a_xor, a_count) = auth_snap.digest(lo, hi);
+            if (a_xor, a_count) == lag_snap.digest(lo, hi) {
                 continue;
             }
             if a_count <= REPAIR_LEAF_ENTRIES || lo == hi {
-                reconcile_leaf(auth, lag, lo, hi, &mut report);
+                let (a, l) = (auth_snap.range(lo, hi), lag_snap.range(lo, hi));
+                reconcile_leaf(a, l, lag, &mut report);
             } else {
                 let mid = lo + (hi - lo) / 2;
                 next.push((lo, mid));
@@ -807,37 +857,48 @@ fn reconcile<B: IndexBackend + RangeDigest>(
     }
     report.bytes_moved += lag.adopt_applied(auth) * APPLIED_WIRE_BYTES;
 
-    let root_a = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
-    let root_l = lag.with_index(|ix| ix.digest_range(0, u64::MAX));
+    let root_a = auth.with_index(|ix| ix.root_digest());
+    let root_l = lag.with_index(|ix| ix.root_digest());
     report.converged = root_a == root_l;
     report
 }
 
-/// Leaf step of [`reconcile`]: full entry exchange over one small range —
-/// upsert entries that are missing or different on the lagging member,
-/// delete entries the authority no longer has.
+/// Leaf step of [`reconcile`]: full entry exchange over one small range,
+/// one repair key at a time — upsert the authority's entries the lagging
+/// member lacks (replacing its stale entries under that key), delete the
+/// lagging entries under keys the authority no longer has.
 fn reconcile_leaf<B: IndexBackend + RangeDigest>(
-    auth: &ServiceServer<B>,
+    mut auth: &[(u64, u64, B::Entry)],
+    mut lagging: &[(u64, u64, B::Entry)],
     lag: &ServiceServer<B>,
-    lo: u64,
-    hi: u64,
     report: &mut RepairReport,
 ) {
-    let auth_items = auth.with_index(|ix| ix.items_in_range(lo, hi));
-    let lag_items = lag.with_index(|ix| ix.items_in_range(lo, hi));
-    let lag_by_key: HashMap<u64, B::Entry> = lag_items.iter().cloned().collect();
-    let auth_keys: std::collections::HashSet<u64> = auth_items.iter().map(|(k, _)| *k).collect();
     let entry_bytes = B::entry_wire_bytes() as u64;
-    for (key, entry) in &auth_items {
-        if lag_by_key.get(key) != Some(entry) {
-            lag.with_index_mut(|ix| ix.apply_entry(entry));
-            report.transferred += 1;
-            report.bytes_moved += entry_bytes;
+    while let Some(key) = auth
+        .first()
+        .into_iter()
+        .chain(lagging.first())
+        .map(|e| e.0)
+        .min()
+    {
+        let (a_group, a_rest) = auth.split_at(auth.partition_point(|e| e.0 == key));
+        let (l_group, l_rest) = lagging.split_at(lagging.partition_point(|e| e.0 == key));
+        (auth, lagging) = (a_rest, l_rest);
+        let mut stale: Vec<B::Entry> = l_group
+            .iter()
+            .filter(|l| !a_group.iter().any(|a| a.2 == l.2))
+            .map(|l| l.2.clone())
+            .collect();
+        for (_, _, entry) in a_group {
+            if !l_group.iter().any(|l| l.2 == *entry) {
+                lag.with_index_mut(|ix| ix.apply_entry(entry, &stale));
+                stale.clear();
+                report.transferred += 1;
+                report.bytes_moved += entry_bytes;
+            }
         }
-    }
-    for (key, _) in &lag_items {
-        if !auth_keys.contains(key) {
-            lag.with_index_mut(|ix| ix.remove_by_repair_key(*key));
+        for entry in &stale {
+            lag.with_index_mut(|ix| ix.remove_entry(entry));
             report.removed += 1;
             report.bytes_moved += KEY_WIRE_BYTES;
         }
@@ -846,7 +907,7 @@ fn reconcile_leaf<B: IndexBackend + RangeDigest>(
 
 impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
     /// Reconciles a lagging replica against the shard's current primary
-    /// (see [`reconcile`]: hash-range bisection over the index, plus the
+    /// (see `reconcile`: hash-range bisection over the index, plus the
     /// applied-operation table). The walk is synchronous in simulation
     /// time, so repair-then-[`ReplicaCtl::revive`] is atomic: no writes
     /// can interleave. A walk that fails to converge leaves a
@@ -862,8 +923,8 @@ impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
         let lag = &self.sets[shard][lagging];
         let report = reconcile(auth, lag);
         if !report.converged {
-            let root_a = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
-            let root_l = lag.with_index(|ix| ix.digest_range(0, u64::MAX));
+            let root_a = auth.with_index(|ix| ix.root_digest());
+            let root_l = lag.with_index(|ix| ix.root_digest());
             self.repair_flight.anomaly(Anomaly::RepairFailed {
                 residual: root_a.0 ^ root_l.0,
             });
@@ -1434,7 +1495,7 @@ mod tests {
         fn digest(cluster: &KvCluster, shard: usize, replica: usize) -> (u64, u64) {
             cluster
                 .replica(shard, replica)
-                .with_index(|ix| RangeDigest::digest_range(ix, 0, u64::MAX))
+                .with_index(RangeDigest::root_digest)
         }
 
         #[test]
@@ -1545,11 +1606,9 @@ mod tests {
                 let ctl = cluster.ctl(shard);
                 let want = cluster
                     .replica(shard, ctl.primary())
-                    .with_index(|ix| ix.digest_range(0, u64::MAX));
+                    .with_index(|ix| ix.root_digest());
                 for r in (0..cluster.replicas()).filter(|&r| ctl.is_alive(r)) {
-                    let got = cluster
-                        .replica(shard, r)
-                        .with_index(|ix| ix.digest_range(0, u64::MAX));
+                    let got = cluster.replica(shard, r).with_index(|ix| ix.root_digest());
                     assert_eq!(got, want, "shard {shard} replica {r} diverged");
                 }
             }
@@ -1981,6 +2040,135 @@ mod tests {
                 })
             };
             assert_eq!(rtree(true), rtree(false), "R-tree");
+        }
+
+        /// The range digest as the walk computed it before snapshots — a
+        /// full scan filtered by repair key — kept as the oracle for
+        /// [`RepairSnapshot`].
+        fn scan_digest<B: RangeDigest>(ix: &B, lo: u64, hi: u64) -> (u64, u64) {
+            ix.repair_entries()
+                .into_iter()
+                .filter(|&(key, _, _)| (lo..=hi).contains(&key))
+                .fold((0, 0), |(xor, n), (_, fp, _)| (xor ^ fp, n + 1))
+        }
+
+        fn xorshift(x: &mut u64) -> u64 {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            *x
+        }
+
+        /// Snapshot digests and ranges equal the scan over `ranges` random
+        /// ranges of every width, the whole keyspace and each key alone.
+        fn assert_snapshot_matches_scan<B: IndexBackend + RangeDigest>(
+            member: &ServiceServer<B>,
+            seed: u64,
+            ranges: usize,
+        ) {
+            let snap = member.with_index(RepairSnapshot::of);
+            member.with_index(|ix| {
+                let mut probes = vec![(0, u64::MAX)];
+                let mut x = seed | 1;
+                for _ in 0..ranges {
+                    let lo = xorshift(&mut x);
+                    let width = xorshift(&mut x) >> (xorshift(&mut x) % 64);
+                    probes.push((lo, lo.saturating_add(width)));
+                }
+                probes.extend(ix.repair_entries().iter().map(|&(k, _, _)| (k, k)));
+                for (lo, hi) in probes {
+                    assert_eq!(snap.digest(lo, hi), scan_digest(ix, lo, hi), "[{lo}, {hi}]");
+                    let mut want: Vec<u64> = ix
+                        .repair_entries()
+                        .into_iter()
+                        .map(|(k, _, _)| k)
+                        .filter(|k| (lo..=hi).contains(k))
+                        .collect();
+                    want.sort_unstable();
+                    let got: Vec<u64> = snap.range(lo, hi).iter().map(|e| e.0).collect();
+                    assert_eq!(got, want, "[{lo}, {hi}]");
+                }
+                assert_eq!(snap.digest(0, u64::MAX), ix.root_digest());
+            });
+        }
+
+        #[test]
+        fn repair_snapshot_digests_match_a_full_scan() {
+            let sim = Sim::new();
+            sim.run_until(async {
+                let n = 600u64;
+                let (_net, cluster) = build_kv(1, 2, n);
+                // Diverge the backup: missing keys, stale values, extras.
+                cluster.replica(0, 1).with_index_mut(|ix| {
+                    for i in (0..n).step_by(17) {
+                        ix.remove(i * 11 % (n * 4));
+                    }
+                    for i in (0..n).step_by(29) {
+                        ix.insert(i * 11 % (n * 4), 0xBAD);
+                    }
+                    for k in 0..40u64 {
+                        ix.insert(1_000_000 + k, k);
+                    }
+                });
+                assert_ne!(digest(&cluster, 0, 0), digest(&cluster, 0, 1));
+                for r in 0..2 {
+                    assert_snapshot_matches_scan(cluster.replica(0, r), 7 + r as u64, 300);
+                }
+                let report = cluster.repair_replica(0, 1);
+                assert!(report.converged);
+                assert_eq!(report.removed, 40);
+                assert_eq!(digest(&cluster, 0, 0), digest(&cluster, 0, 1));
+            });
+        }
+
+        /// Entries sharing a repair key — one id under two rectangles —
+        /// stay distinct in the snapshot, and the walk converges whichever
+        /// member holds the extra copy: a backup missing the authority's
+        /// second copy gains it, and a backup's stray copy is replaced.
+        #[test]
+        fn repair_keeps_duplicate_repair_keys() {
+            use crate::server::CatfishCluster;
+            use catfish_rtree::RTreeConfig;
+            let sim = Sim::new();
+            sim.run_until(async {
+                let net = Network::new();
+                let cluster = CatfishCluster::build_replicated(
+                    &net,
+                    &infiniband_100g(),
+                    ServerConfig {
+                        cores: 2,
+                        mode: ServerMode::EventDriven,
+                        ..ServerConfig::default()
+                    },
+                    RTreeConfig::with_max_entries(16),
+                    catfish_workload::uniform_rects(300, 1e-2, 5),
+                    1,
+                    3,
+                    &RkeyAllocator::new(),
+                );
+                let id = cluster.replica(0, 0).with_index(|ix| ix.items()[0].1);
+                cluster
+                    .replica(0, 0)
+                    .with_index_mut(|ix| ix.insert(Rect::new(0.9, 0.9, 0.91, 0.91), id));
+                cluster
+                    .replica(0, 2)
+                    .with_index_mut(|ix| ix.insert(Rect::new(0.1, 0.9, 0.11, 0.91), id));
+                for r in 0..3 {
+                    assert_snapshot_matches_scan(cluster.replica(0, r), 11 + r as u64, 100);
+                }
+                let key = mix64(id);
+                let copies = |r: usize| {
+                    let snap = cluster.replica(0, r).with_index(RepairSnapshot::of);
+                    snap.range(key, key).len()
+                };
+                assert_eq!((copies(0), copies(1), copies(2)), (2, 1, 2));
+                for backup in [1, 2] {
+                    let report = cluster.repair_replica(0, backup);
+                    assert!(report.converged, "backup {backup}");
+                    assert_eq!(report.transferred, 1, "backup {backup}");
+                }
+                live_replicas_agree(&cluster);
+            });
         }
     }
 }

@@ -343,41 +343,50 @@ pub trait IndexBackend: Sized + 'static {
 /// Every entry is assigned a *repair key* (a hash of its identity, so
 /// entries spread uniformly over the `u64` keyspace regardless of how
 /// clustered the application's ids are) and a *fingerprint* (a hash of
-/// its full content). [`RangeDigest::digest_range`] folds the
-/// fingerprints of every entry whose repair key falls in `[lo, hi]` with
-/// XOR — an order-independent, composable digest: the digest of a range
-/// equals the XOR of the digests of any partition of it. Two replicas
-/// compare digests top-down, bisecting only mismatched halves, and locate
-/// a divergence of `d` entries in `O(log n)` round trips instead of
-/// shipping the whole index.
+/// its full content). The digest of a repair-key range folds the
+/// fingerprints of its entries with XOR — an order-independent,
+/// composable digest: the digest of a range equals the XOR of the
+/// digests of any partition of it. Two replicas compare digests
+/// top-down, bisecting only mismatched halves, and locate a divergence of
+/// `d` entries in `O(log n)` round trips instead of shipping the whole
+/// index. The walk itself is generic (`service::cluster`); a backend only
+/// lists its entries once per walk and applies the differences.
 pub trait RangeDigest {
-    /// `(xor_of_fingerprints, entry_count)` over repair keys in
-    /// `[lo, hi]` (inclusive).
-    fn digest_range(&self, lo: u64, hi: u64) -> (u64, u64);
-
-    /// The entries whose repair keys fall in `[lo, hi]`, as
-    /// `(repair_key, entry)` pairs — the transfer unit of reconciliation.
-    fn items_in_range(&self, lo: u64, hi: u64) -> Vec<(u64, Self::Entry)>
-    where
-        Self: Sized;
-
     /// One transferable entry (enough to insert it on the lagging side).
     /// Equality is content equality — reconciliation compares entries
     /// under the same repair key to decide whether to re-transfer.
     type Entry: Clone + PartialEq + std::fmt::Debug;
 
-    /// Applies one transferred entry (upsert by identity).
-    fn apply_entry(&mut self, entry: &Self::Entry);
+    /// Every entry as `(repair_key, fingerprint, entry)`, in any order:
+    /// one pass over the index.
+    fn repair_entries(&self) -> Vec<(u64, u64, Self::Entry)>
+    where
+        Self: Sized;
 
-    /// Removes the entry with this repair key, if present (the lagging
-    /// side holds an entry the authority does not).
-    fn remove_by_repair_key(&mut self, key: u64);
+    /// Upserts one transferred entry. `stale` holds this member's entries
+    /// under the same repair key that the authority lacks; none of them
+    /// may survive next to `entry`.
+    fn apply_entry(&mut self, entry: &Self::Entry, stale: &[Self::Entry]);
+
+    /// Removes one entry the authority does not hold.
+    fn remove_entry(&mut self, entry: &Self::Entry);
 
     /// Wire bytes one transferred entry occupies (byte accounting for the
     /// repair-vs-full-resync comparison).
     fn entry_wire_bytes() -> usize
     where
         Self: Sized;
+
+    /// `(xor_of_fingerprints, entry_count)` over the whole index: equal on
+    /// converged replicas.
+    fn root_digest(&self) -> (u64, u64)
+    where
+        Self: Sized,
+    {
+        self.repair_entries()
+            .iter()
+            .fold((0, 0), |(xor, count), &(_, fp, _)| (xor ^ fp, count + 1))
+    }
 }
 
 /// The client-side half of a backend: how offloaded traversals interpret
